@@ -128,7 +128,8 @@ let run_one c executor =
         let r =
           E.run
             ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-            ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w) rng graph
+            ~quiet_rounds ~max_rounds ~churn ~workload:(W.typed_hook w) rng
+            graph
         in
         (r.E.states, r.E.alive, r.E.rounds)
     | Flat domains ->

@@ -11,9 +11,20 @@ let seed_arg =
   let doc = "Base PRNG seed; every run derives an independent sub-stream." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Counts that must be at least one: 0 or a negative value is a usage
+   error (exit 124 with a message), not a crash deep inside a sweep. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let runs_arg default =
-  let doc = "Number of independent runs to average over." in
-  Arg.(value & opt int default & info [ "runs" ] ~docv:"RUNS" ~doc)
+  let doc = "Number of independent runs to average over (at least 1)." in
+  Arg.(value & opt positive_int default & info [ "runs" ] ~docv:"RUNS" ~doc)
 
 let jobs_arg =
   let doc =
@@ -22,7 +33,7 @@ let jobs_arg =
      so the output is bit-identical for every value of $(docv)."
   in
   let env = Cmd.Env.info "REPRO_JOBS" ~doc:"Default for $(b,--jobs)." in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~env ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~env ~docv:"N" ~doc)
 
 let intensity_arg =
   let doc = "Poisson intensity (expected node count in the unit square)." in

@@ -68,6 +68,132 @@ type state = {
   far : (int * far_entry) list; (* 2-hop cache, sorted by node index *)
 }
 
+(* ------------------------------------------------------- plane layout *)
+
+(* The per-node strided int rows of the flat plane ([Make.Flat]), shared
+   with the typed routing projection [view]:
+
+     cache   entries ascending by neighbor index, variable stride:
+             [q; heard; gid; dag; dens_links; dens_nodes; head;
+              nlen; nbr_0 .. nbr_{nlen-1}]
+     far     entries ascending, stride 6:
+             [q; heard; dens_links; dens_nodes; eff; is_head]
+
+   Option encodings: density None -> (-1, 0) (real densities have
+   links >= 0 by Density.make); parent/head None -> -1 (real values are
+   node indices or corrupt draws, always >= 0). Both are injective over
+   every reachable and every [corrupt]-produced state, so integer
+   equality on the planes coincides with structural equality on the
+   typed fields. *)
+
+let put_density c i = function
+  | None ->
+      c.(i) <- -1;
+      c.(i + 1) <- 0
+  | Some d ->
+      c.(i) <- Density.links d;
+      c.(i + 1) <- Density.nodes d
+
+let density_of l n =
+  if l < 0 then None else Some (Density.make ~links:l ~nodes:n)
+
+let index_of_opt = function None -> -1 | Some v -> v
+let opt_of_index v = if v < 0 then None else Some v
+
+let cache_ints cache =
+  List.fold_left (fun acc (_, e) -> acc + 8 + Array.length e.e_nbrs) 0 cache
+
+(* Lays [cache] out from slot 0 of [c] (at least [cache_ints cache]
+   long); returns the entry count. *)
+let write_cache c cache =
+  let pos = ref 0 and cnt = ref 0 in
+  List.iter
+    (fun (q, e) ->
+      let u = !pos in
+      c.(u) <- q;
+      c.(u + 1) <- e.e_heard;
+      c.(u + 2) <- e.e_gid;
+      c.(u + 3) <- e.e_dag;
+      put_density c (u + 4) e.e_density;
+      c.(u + 6) <- index_of_opt e.e_head;
+      let nlen = Array.length e.e_nbrs in
+      c.(u + 7) <- nlen;
+      Array.blit e.e_nbrs 0 c (u + 8) nlen;
+      pos := u + 8 + nlen;
+      incr cnt)
+    cache;
+  !cnt
+
+let write_far f far =
+  List.iteri
+    (fun i (q, fe) ->
+      let o = 6 * i in
+      f.(o) <- q;
+      f.(o + 1) <- fe.f_heard;
+      put_density f (o + 2) fe.f_density;
+      f.(o + 4) <- fe.f_eff;
+      f.(o + 5) <- (if fe.f_is_head then 1 else 0))
+    far
+
+(* ------------------------------------------------------ routing views *)
+
+(* A node's routing knowledge in the plane layout: its head and parent
+   scalars plus its cache and far rows. [Make.Flat.view] aliases the live
+   rows of the plane; [view] lays a typed state out into fresh rows. The
+   readers below never touch a heard stamp (offset 1 of both strides):
+   stamps are the one cache field whose dense and sparse evolution
+   differ, so routing on views is executor-independent (DESIGN §13). *)
+type view = {
+  v_head : int;
+  v_parent : int;
+  v_cache : int array;
+  v_used : int; (* ints of [v_cache] in use *)
+  v_far : int array;
+  v_far_len : int; (* entries of [v_far] in use *)
+}
+
+let view (st : state) =
+  let c = Array.make (cache_ints st.cache) 0 in
+  ignore (write_cache c st.cache);
+  let far_len = List.length st.far in
+  let f = Array.make (6 * far_len) 0 in
+  write_far f st.far;
+  {
+    v_head = index_of_opt st.head;
+    v_parent = index_of_opt st.parent;
+    v_cache = c;
+    v_used = Array.length c;
+    v_far = f;
+    v_far_len = far_len;
+  }
+
+let view_head v = opt_of_index v.v_head
+let view_parent v = opt_of_index v.v_parent
+
+let iter_peers v f =
+  let c = v.v_cache in
+  let pos = ref 0 in
+  while !pos < v.v_used do
+    let slot = !pos in
+    pos := slot + 8 + c.(slot + 7);
+    f slot c.(slot)
+  done
+
+let peer_claims v slot t =
+  let c = v.v_cache in
+  let stop = slot + 8 + c.(slot + 7) in
+  let i = ref (slot + 8) in
+  while !i < stop && c.(!i) <> t do
+    incr i
+  done;
+  !i < stop
+
+let iter_far_heads v f =
+  let a = v.v_far in
+  for i = 0 to v.v_far_len - 1 do
+    if a.((6 * i) + 5) <> 0 then f a.(6 * i)
+  done
+
 module Make (P : sig
   val params : params
 end) =
@@ -78,6 +204,10 @@ struct
   type nonrec state = state
 
   type nonrec message = message
+
+  type nonrec view = view
+
+  let view = view
 
   let gid_of graph p =
     match params.ids with
@@ -331,13 +461,9 @@ struct
   (* ------------------------------------------------------- flat plane *)
 
   (* Struct-of-arrays mirror of [state] for the Ss_engine.Flat executor.
-     Per-node strided int layouts:
+     Per-node rows: [cache.(p)] and [far.(p)] in the plane layout above,
+     plus the emission:
 
-       cache.(p)   entries ascending by neighbor index, variable stride:
-                   [q; heard; gid; dag; dens_links; dens_nodes; head;
-                    nlen; nbr_0 .. nbr_{nlen-1}]
-       far.(p)     entries ascending, stride 6:
-                   [q; heard; dens_links; dens_nodes; eff; is_head]
        em_nbrs.(p) emitted relay summaries ascending, stride 5:
                    [s_node; dens_links; dens_nodes; eff; is_head]
        em          emitted frame scalars, stride 6 per node:
@@ -345,14 +471,9 @@ struct
                    interleaved plane so a gathering neighbor touches one
                    cache line, not six; len -1 = poisoned
 
-     Option encodings: density None -> (-1, 0) (real densities have
-     links >= 0 by Density.make); parent/head None -> -1 (real values are
-     node indices or corrupt draws, always >= 0). Both are injective over
-     every reachable and every [corrupt]-produced state, so integer
-     equality on the planes coincides with structural equality on the
-     typed fields — which is what makes [step]'s change report and
-     [refresh_emit]'s frame comparison exact mirrors of [equal_state] and
-     the sparse executor's message compare. *)
+     The layout's injective option encodings are what make [step]'s
+     change report and [refresh_emit]'s frame comparison exact mirrors
+     of [equal_state] and the sparse executor's message compare. *)
   module Flat = struct
     type buffers = {
       n : int;
@@ -477,16 +598,6 @@ struct
         Bytes.unsafe_set b.quiet_emit p '\000'
       done
 
-    let put_density c i = function
-      | None ->
-          c.(i) <- -1;
-          c.(i + 1) <- 0
-      | Some d ->
-          c.(i) <- Density.links d;
-          c.(i + 1) <- Density.nodes d
-
-    let density_of l n = if l < 0 then None else Some (Density.make ~links:l ~nodes:n)
-
     let pack b p (st : state) =
       b.clock.(p) <- st.clock;
       b.gamma.(p) <- st.gamma;
@@ -499,45 +610,15 @@ struct
       | Some d ->
           b.dens_l.(p) <- Density.links d;
           b.dens_n.(p) <- Density.nodes d);
-      b.parent.(p) <- (match st.parent with None -> -1 | Some v -> v);
-      b.head.(p) <- (match st.head with None -> -1 | Some v -> v);
-      let used =
-        List.fold_left
-          (fun acc (_, e) -> acc + 8 + Array.length e.e_nbrs)
-          0 st.cache
-      in
+      b.parent.(p) <- index_of_opt st.parent;
+      b.head.(p) <- index_of_opt st.head;
+      let used = cache_ints st.cache in
       b.cache.(p) <- grow b.cache.(p) used;
-      let c = b.cache.(p) in
-      let pos = ref 0 and cnt = ref 0 in
-      List.iter
-        (fun (q, e) ->
-          let u = !pos in
-          c.(u) <- q;
-          c.(u + 1) <- e.e_heard;
-          c.(u + 2) <- e.e_gid;
-          c.(u + 3) <- e.e_dag;
-          put_density c (u + 4) e.e_density;
-          c.(u + 6) <- (match e.e_head with None -> -1 | Some v -> v);
-          let nlen = Array.length e.e_nbrs in
-          c.(u + 7) <- nlen;
-          Array.blit e.e_nbrs 0 c (u + 8) nlen;
-          pos := u + 8 + nlen;
-          incr cnt)
-        st.cache;
-      b.cache_used.(p) <- !pos;
-      b.cache_cnt.(p) <- !cnt;
+      b.cache_used.(p) <- used;
+      b.cache_cnt.(p) <- write_cache b.cache.(p) st.cache;
       let flen = List.length st.far in
       b.far.(p) <- grow b.far.(p) (6 * flen);
-      let f = b.far.(p) in
-      List.iteri
-        (fun i (q, fe) ->
-          let o = 6 * i in
-          f.(o) <- q;
-          f.(o + 1) <- fe.f_heard;
-          put_density f (o + 2) fe.f_density;
-          f.(o + 4) <- fe.f_eff;
-          f.(o + 5) <- (if fe.f_is_head then 1 else 0))
-        st.far;
+      write_far b.far.(p) st.far;
       b.far_len.(p) <- flen;
       b.synced.(p) <- -1;
       Bytes.unsafe_set b.calm p '\000';
@@ -562,7 +643,7 @@ struct
               e_gid = c.(pos + 2);
               e_dag = c.(pos + 3);
               e_density = density_of c.(pos + 4) c.(pos + 5);
-              e_head = (if c.(pos + 6) < 0 then None else Some c.(pos + 6));
+              e_head = opt_of_index c.(pos + 6);
               e_nbrs = Array.sub c (pos + 8) nlen;
             }
           in
@@ -587,10 +668,24 @@ struct
         gid = b.gid.(p);
         dag = b.dag.(p);
         density = density_of b.dens_l.(p) b.dens_n.(p);
-        parent = (if b.parent.(p) < 0 then None else Some b.parent.(p));
-        head = (if b.head.(p) < 0 then None else Some b.head.(p));
+        parent = opt_of_index b.parent.(p);
+        head = opt_of_index b.head.(p);
         cache = cache_from 0;
         far;
+      }
+
+    (* Aliases the live rows: O(1), no copy. Valid until the next write
+       to node [p]'s planes (a [step] or [pack] may regrow or rewrite
+       them), which is why executors hand views out only for the
+       duration of a hook call. *)
+    let view b p =
+      {
+        v_head = b.head.(p);
+        v_parent = b.parent.(p);
+        v_cache = b.cache.(p);
+        v_used = b.cache_used.(p);
+        v_far = b.far.(p);
+        v_far_len = b.far_len.(p);
       }
 
     let refresh_emit b s p =

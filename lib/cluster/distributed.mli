@@ -67,10 +67,46 @@ type state = {
 (** Exposed concretely so experiments can inspect per-round snapshots and
     fault plans can build targeted corruptions. *)
 
+(** {2 Routing views}
+
+    What a node routes on, in the paper's terms: its own shared
+    variables (head, parent), its neighbours' broadcast tables (the 1-hop
+    cache, each entry with the neighbourhood that neighbour claims) and
+    the heads they relay (the 2-hop far table's head entries). A view is
+    read through the accessors below only; heard stamps and the clock
+    are not part of it. *)
+
+type view
+
+val view : state -> view
+(** The typed projection, and the specification of [Flat.view]: the
+    state's cache and far table laid out in fresh rows of the flat
+    plane's layout. Allocates O(size of the tables). *)
+
+val view_head : view -> int option
+(** The node's believed cluster-head. *)
+
+val view_parent : view -> int option
+
+val iter_peers : view -> (int -> int -> unit) -> unit
+(** [iter_peers v f] calls [f slot q] for every believed 1-hop neighbour
+    [q] (every cache entry), ascending by [q]; [slot] names the entry for
+    {!peer_claims} and is meaningful for [v] only. *)
+
+val peer_claims : view -> int -> int -> bool
+(** [peer_claims v slot t]: the cache entry at [slot] claims [t] in its
+    1-hop neighbourhood. *)
+
+val iter_far_heads : view -> (int -> unit) -> unit
+(** Every 2-hop far-table entry flagged as a head, ascending. *)
+
 module Make (_ : sig
   val params : params
 end) :
-  Ss_engine.Protocol.FLAT with type state = state and type message = message
+  Ss_engine.Protocol.FLAT
+    with type state = state
+     and type message = message
+     and type view = view
 (** [equal_state] compares only the protocol outputs (name, density, parent,
     head); cache bookkeeping churns every round by design. When measuring
     stabilization, ask the engine for more quiet rounds than the cache TTL:
@@ -87,7 +123,9 @@ end) :
     equality coincides with structural equality on the typed fields.
     [Flat.step] is draw-for-draw equivalent to [handle] (it consumes the
     generator only in the N1 name re-pick, exactly when the typed path
-    does), which [test/suite_flat.ml] enforces differentially. *)
+    does), which [test/suite_flat.ml] enforces differentially.
+    [Flat.view] aliases a node's live cache and far rows plus its head
+    and parent scalars: no copy, O(1) words. *)
 
 val pending_expiry : state -> bool
 (** The engine's sparse-mode warm hook: true while any cache or far entry

@@ -195,7 +195,9 @@ module Make (P : Protocol.S) : sig
       [workload] is the data-plane hook ({!Ss_traffic.Workload} is the
       canonical client): it fires once per round, after [probe], with the
       round's effective snapshot, liveness mask and a read-only state
-      accessor, and returns whether the workload is still active. An
+      accessor (the flat executor's hook reads protocol views instead;
+      {!Protocol.FLAT}'s typed [view] bridges the two), and returns
+      whether the workload is still active. An
       active workload keeps the run alive through protocol quiescence
       (like a bounded churn horizon) so in-flight messages can drain;
       it never resets the quiescence counter, so [last_change_round] and

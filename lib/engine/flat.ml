@@ -90,8 +90,9 @@ module Make (P : Protocol.FLAT) = struct
     let faults = ref [] in
     (* As in Engine.run: an active workload keeps the run alive through
        protocol quiescence without resetting the quiescence counter. The
-       hook reads states through unpack-on-demand, so its cost scales
-       with the traffic it carries, not the network. *)
+       hook reads views aliasing the planes (O(1) words each, no typed
+       state), so its cost scales with the traffic it carries, not the
+       network. *)
     let wl_active = ref (workload <> None) in
     while
       (!quiet < quiet_rounds || !round < horizon || !wl_active)
@@ -259,7 +260,7 @@ module Make (P : Protocol.FLAT) = struct
       | Some tickf ->
           wl_active :=
             tickf ~round:!round ~graph:g ~alive:live
-              ~read:(P.Flat.unpack buffers));
+              ~read:(P.Flat.view buffers));
       if changed > 0 || applied > 0 || !moved_links > 0 then begin
         quiet := 0;
         last_change := !round

@@ -49,7 +49,7 @@ module Make (P : Protocol.FLAT) : sig
       (round:int ->
       graph:Ss_topology.Graph.t ->
       alive:bool array ->
-      read:(int -> P.state) ->
+      read:(int -> P.view) ->
       bool) ->
     ?domains:int ->
     ?states:P.state array ->
@@ -65,10 +65,18 @@ module Make (P : Protocol.FLAT) : sig
       executors' draw streams coincide. [?states] warm-starts by packing
       the array (one entry per node, checked); [?domains] (default 1)
       shards synchronous state/emission phases over that many domains.
-      [?workload] is {!Engine.Make.run}'s data-plane hook with [read]
-      backed by unpack-on-demand: the hook pays one typed unpack per
-      state it actually inspects, so idle traffic costs nothing and the
-      flat representation survives. Same activity semantics: an active
+
+      [?workload] is {!Engine.Make.run}'s data-plane hook, except that
+      [read p] returns node [p]'s {!Protocol.FLAT} view instead of its
+      typed state: [P.Flat.view] aliases the node's live planes, copies
+      nothing and allocates O(1) words, so the hook pays only for what
+      it inspects, idle traffic costs nothing and no typed state is ever
+      materialized on this path. The view contract: [read p] reads, through
+      every view accessor, exactly what [P.view] of the typed state the
+      reference executor would hand out reads (the typed projection is
+      the specification). A view is valid only during the hook call that
+      produced it — the next round's steps rewrite the planes it aliases —
+      so a hook must not keep one. Same activity semantics: an active
       workload keeps the run alive through quiescence without resetting
       the quiescence counter. Defaults otherwise match the reference
       executor. *)

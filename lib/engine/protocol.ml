@@ -36,9 +36,15 @@ end
    place by index. The typed [S] operations stay the source of truth; the
    [Flat] operations must be draw-for-draw and observation-equivalent to
    them (pack/unpack round-trips, step == handle, refresh_emit tracks
-   emit), which the differential battery enforces. *)
+   emit, Flat.view reads as view of unpack), which the differential
+   battery enforces. *)
 module type FLAT = sig
   include S
+
+  type view
+  (* The data plane's read-only window on one node's state. *)
+
+  val view : state -> view
 
   module Flat : sig
     type buffers
@@ -56,6 +62,8 @@ module type FLAT = sig
     val pack : buffers -> int -> state -> unit
 
     val unpack : buffers -> int -> state
+
+    val view : buffers -> int -> view
 
     val refresh_emit : buffers -> scratch -> int -> bool
 

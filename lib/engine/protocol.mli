@@ -90,12 +90,24 @@ end
     - [refresh_emit] makes the node's emission plane equal [emit] of its
       current state and reports whether it changed;
     - [init_all] consumes exactly the draws of [n] successive [init]
-      calls in ascending node order.
+      calls in ascending node order;
+    - [Flat.view b p] reads exactly what [view (unpack b p)] reads,
+      through every accessor the protocol offers on views.
 
-    The differential battery in [test/suite_flat.ml] enforces all four
+    The differential battery in [test/suite_flat.ml] enforces all five
     against the typed path. *)
 module type FLAT = sig
   include S
+
+  type view
+  (** What the data plane reads of one node's state — for a clustering
+      protocol, the routing knowledge its forwarding decisions use. A
+      read-only window the protocol defines, with its own accessors. *)
+
+  val view : state -> view
+  (** The typed projection: the specification of [Flat.view], and what
+      callers of the typed executors ({!Engine.Make.run}) apply to a
+      read state. *)
 
   module Flat : sig
     type buffers
@@ -129,6 +141,14 @@ module type FLAT = sig
 
     val unpack : buffers -> int -> state
     (** Read node [p]'s state planes back into a typed state. *)
+
+    val view : buffers -> int -> view
+    (** Node [p]'s view read in place: aliases its existing planes,
+        copies nothing and allocates O(1) words, so a reader pays for
+        what it inspects and nothing else. Equal, through every view
+        accessor, to [view (unpack b p)]. Valid only until node [p]'s
+        planes are next written ([step], [pack]); executors hand views
+        out for the duration of one hook call. *)
 
     val refresh_emit : buffers -> scratch -> int -> bool
     (** Recompute node [p]'s emission plane from its state planes;

@@ -179,15 +179,15 @@ let run_one ~executor ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
     | Dense ->
         let r =
           E.run ~mode:E.Dense ~channel ~quiet_rounds ~max_rounds ~churn
-            ~workload:(W.hook w) rng graph
+            ~workload:(W.typed_hook w) rng graph
         in
         (r.E.converged, r.E.states, r.E.alive)
     | Sparse ->
         let r =
           E.run
             ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-            ~channel ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w) rng
-            graph
+            ~channel ~quiet_rounds ~max_rounds ~churn
+            ~workload:(W.typed_hook w) rng graph
         in
         (r.E.converged, r.E.states, r.E.alive)
     | Flat ->

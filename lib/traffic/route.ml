@@ -1,59 +1,14 @@
 module Vec2 = Ss_geom.Vec2
 module D = Ss_cluster.Distributed
 
-type peer = { p_node : int; p_is_head : bool; p_claims : int array }
-
-type view = {
-  v_head : int option;
-  v_parent : int option;
-  v_peers : peer array;
-  v_far_heads : int array;
-}
-
-(* Freshness stamps (e_heard/f_heard) and the clock are the only cache
-   fields whose dense/sparse evolution differs (DESIGN §9: skipped nodes
-   do not age refreshed entries); projecting them away here is what makes
-   routing — and therefore the whole workload — executor-independent. *)
-let of_distributed (st : D.state) =
-  let peers =
-    Array.of_list
-      (List.map
-         (fun ((q, e) : int * D.entry) ->
-           {
-             p_node = q;
-             p_is_head = e.D.e_head = Some q;
-             p_claims = e.D.e_nbrs;
-           })
-         st.D.cache)
-  in
-  let far_heads =
-    Array.of_list
-      (List.filter_map
-         (fun ((v, f) : int * D.far_entry) ->
-           if f.D.f_is_head then Some v else None)
-         st.D.far)
-  in
-  {
-    v_head = st.D.head;
-    v_parent = st.D.parent;
-    v_peers = peers;
-    v_far_heads = far_heads;
-  }
+(* Views are read only through Distributed's accessors, none of which
+   reads a heard stamp or the clock — the cache fields whose dense and
+   sparse evolution differ (DESIGN §9) — which is what makes routing, and
+   therefore the whole workload, executor-independent (DESIGN §13). *)
 
 let no_via = -1
 
 type decision = Forward of { next : int; via : int; advance : bool } | Stall
-
-let claims pr t =
-  let a = pr.p_claims in
-  let k = Array.length a in
-  let i = ref 0 in
-  let found = ref false in
-  while (not !found) && !i < k do
-    if a.(!i) = t then found := true;
-    incr i
-  done;
-  !found
 
 let next_hop ~(positions : Vec2.t array) ~view_of ~n ~cur ~dst ~via ~prev
     ~banned =
@@ -66,30 +21,28 @@ let next_hop ~(positions : Vec2.t array) ~view_of ~n ~cur ~dst ~via ~prev
     let d2 a b = Vec2.dist2 positions.(a) positions.(b) in
     let peer q =
       let found = ref false in
-      Array.iter (fun pr -> if pr.p_node = q then found := true) v.v_peers;
+      D.iter_peers v (fun _ r -> if r = q then found := true);
       !found
     in
+    let claiming t slot = D.peer_claims v slot t in
     (* Smallest objective wins; ties break to the smaller index so the
        choice is a pure function of the view. *)
     let best_peer pred obj =
       let best = ref (-1) and best_d = ref infinity in
-      Array.iter
-        (fun pr ->
-          let q = pr.p_node in
-          if usable q && pred pr then begin
+      D.iter_peers v (fun slot q ->
+          if usable q && pred slot then begin
             let d = obj q in
             if d < !best_d || (d = !best_d && (!best < 0 || q < !best)) then begin
               best := q;
               best_d := d
             end
-          end)
-        v.v_peers;
+          end);
       !best
     in
     if usable dst && peer dst then
       Forward { next = dst; via = no_via; advance = true }
     else begin
-      let bridge = best_peer (fun pr -> claims pr dst) (fun q -> d2 q dst) in
+      let bridge = best_peer (claiming dst) (fun q -> d2 q dst) in
       if bridge >= 0 then
         Forward { next = bridge; via = no_via; advance = true }
       else begin
@@ -104,7 +57,7 @@ let next_hop ~(positions : Vec2.t array) ~view_of ~n ~cur ~dst ~via ~prev
             if usable via && peer via then
               Some (Forward { next = via; via; advance = true })
             else begin
-              let b = best_peer (fun pr -> claims pr via) (fun q -> d2 q via) in
+              let b = best_peer (claiming via) (fun q -> d2 q via) in
               if b >= 0 then Some (Forward { next = b; via; advance = true })
               else None
             end
@@ -129,25 +82,20 @@ let next_hop ~(positions : Vec2.t array) ~view_of ~n ~cur ~dst ~via ~prev
                 best_e := e
               end
             in
-            Array.iter
-              (fun pr ->
-                let q = pr.p_node in
-                if usable q then record q no_via (d2 q dst) q)
-              v.v_peers;
-            Array.iter
-              (fun t ->
+            D.iter_peers v (fun _ q ->
+                if usable q then record q no_via (d2 q dst) q);
+            D.iter_far_heads v (fun t ->
                 if t >= 0 && t < n && t <> cur && not (banned t) then begin
                   let d = d2 t dst in
                   if d < !best_d then
                     if usable t && peer t then record t no_via d t
                     else begin
                       let b =
-                        best_peer (fun pr -> claims pr t) (fun q -> d2 q t)
+                        best_peer (claiming t) (fun q -> d2 q t)
                       in
                       if b >= 0 then record b t d t
                     end
-                end)
-              v.v_far_heads;
+                end);
             if !best_q >= 0 then
               Forward { next = !best_q; via = !best_t; advance = true }
             else begin

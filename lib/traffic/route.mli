@@ -9,6 +9,14 @@
     retry/invalidate machinery is what turns wrong-but-healing tables
     into delivered messages.
 
+    The tables are read as {!Ss_cluster.Distributed.view}s, through the
+    view accessors only. On the flat executor a view aliases the node's
+    live planes, so a routing decision copies no table; on the typed
+    executors it is {!Ss_cluster.Distributed.view} of the read state.
+    No accessor reads a freshness stamp — the one cache field whose
+    dense/sparse evolution differs — so every read path and executor
+    sees the same tables.
+
     Selection is deterministic (distance objectives with index
     tie-breaks, no randomness), so identical views yield identical
     routes in every executor.
@@ -21,27 +29,6 @@
     ([advance = false]); the caller is expected to ban the forwarder for
     that message, so any routing cycle permanently loses a node per lap
     and self-destructs instead of burning the TTL. *)
-
-type peer = {
-  p_node : int;
-  p_is_head : bool;  (** the entry claims itself as head *)
-  p_claims : int array;  (** its claimed 1-hop neighborhood *)
-}
-
-type view = {
-  v_head : int option;  (** this node's believed cluster-head *)
-  v_parent : int option;
-  v_peers : peer array;  (** believed 1-hop neighbors, ascending *)
-  v_far_heads : int array;  (** believed 2-hop cluster-heads, ascending *)
-}
-
-val of_distributed : Ss_cluster.Distributed.state -> view
-(** Project the routing view out of a protocol state: cache entries
-    become peers, far entries flagged as heads become backbone
-    candidates. Freshness stamps are deliberately ignored — they are the
-    only cache fields whose dense/sparse evolution differs, and dropping
-    them is what keeps workload routing bit-identical across
-    executors. *)
 
 val no_via : int
 (** Sentinel (-1) for "no backbone waypoint". *)
@@ -57,7 +44,7 @@ type decision =
 
 val next_hop :
   positions:Ss_geom.Vec2.t array ->
-  view_of:(int -> view) ->
+  view_of:(int -> Ss_cluster.Distributed.view) ->
   n:int ->
   cur:int ->
   dst:int ->
@@ -65,7 +52,8 @@ val next_hop :
   prev:int ->
   banned:(int -> bool) ->
   decision
-(** One routing decision at [cur] for a message addressed to [dst].
+(** One routing decision at [cur] for a message addressed to [dst],
+    reading [view_of cur] (once) and nothing else of the tables.
 
     Preference order: (1) the destination itself when cached; (2) a peer
     claiming the destination one hop behind it (the paper's 2-hop

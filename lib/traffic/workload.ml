@@ -4,6 +4,7 @@ module Channel = Ss_radio.Channel
 module Rng = Ss_prng.Rng
 module Churn = Ss_engine.Churn
 module Energy = Ss_cluster.Energy
+module D = Ss_cluster.Distributed
 module Summary = Ss_stats.Summary
 
 type energy_model = {
@@ -122,6 +123,8 @@ type t = {
   batteries : Energy.battery array; (* [||] without an energy model *)
   head_rounds : int array;
   mutable last_round : int;
+  pool : int array; (* this round's alive nodes, arrival endpoints *)
+  is_head : bool array; (* duty round: believed heads *)
 }
 
 let create cfg ~n =
@@ -170,6 +173,9 @@ let create cfg ~n =
       | Some e -> Array.init n (fun _ -> Energy.battery ~capacity:e.capacity));
     head_rounds = (match cfg.energy with None -> [||] | Some _ -> Array.make n 0);
     last_round = 0;
+    pool = Array.make n 0;
+    is_head =
+      (match cfg.energy with None -> [||] | Some _ -> Array.make n false);
   }
 
 (* Key lanes under the workload key: 0 = arrivals (by round, then by
@@ -192,7 +198,15 @@ let backoff t ~id ~attempt =
 let pay t p cost =
   if Array.length t.batteries > 0 then Energy.spend t.batteries.(p) cost
 
+let check_size t what size =
+  if size <> t.n then
+    invalid_arg
+      (Printf.sprintf "Workload.%s: %d nodes, but the workload was created \
+                       for %d" what size t.n)
+
 let tick t ~round ~graph ~alive ~view_of =
+  check_size t "tick (graph)" (Graph.node_count graph);
+  check_size t "tick (alive mask)" (Array.length alive);
   if round <> t.last_round + 1 then
     invalid_arg
       (Printf.sprintf
@@ -222,19 +236,14 @@ let tick t ~round ~graph ~alive ~view_of =
       + if frac > 0.0 && Rng.key_bernoulli (Rng.subkey lane 0) frac then 1 else 0
     in
     if want > 0 then begin
-      let pool_len = ref 0 in
+      let pool = t.pool and pool_len = ref 0 in
       for p = 0 to t.n - 1 do
-        if alive.(p) then incr pool_len
+        if alive.(p) then begin
+          pool.(!pool_len) <- p;
+          incr pool_len
+        end
       done;
       if !pool_len >= 2 then begin
-        let pool = Array.make !pool_len 0 in
-        let i = ref 0 in
-        for p = 0 to t.n - 1 do
-          if alive.(p) then begin
-            pool.(!i) <- p;
-            incr i
-          end
-        done;
         for k = 1 to want do
           let mk = Rng.subkey lane k in
           let si = Rng.key_int (Rng.subkey mk 0) !pool_len in
@@ -370,14 +379,17 @@ let tick t ~round ~graph ~alive ~view_of =
   | None -> ()
   | Some e ->
       if round mod e.duty_every = 0 then begin
-        let is_head = Array.make t.n false in
+        let is_head = t.is_head in
         for p = 0 to t.n - 1 do
-          if alive.(p) then
-            match (view_of p).Route.v_head with
-            | Some h when h = p ->
-                is_head.(p) <- true;
-                t.head_rounds.(p) <- t.head_rounds.(p) + e.duty_every
-            | _ -> ()
+          let head =
+            alive.(p)
+            &&
+            match D.view_head (view_of p) with
+            | Some h -> h = p
+            | None -> false
+          in
+          is_head.(p) <- head;
+          if head then t.head_rounds.(p) <- t.head_rounds.(p) + e.duty_every
         done;
         Energy.apply_duty ~drain:e.duty t.batteries
           ~alive:(fun p -> alive.(p))
@@ -399,13 +411,16 @@ let tick t ~round ~graph ~alive ~view_of =
   more_arrivals || inflight > 0
 
 let hook t ~round ~graph ~alive ~read =
-  tick t ~round ~graph ~alive ~view_of:(fun p ->
-      Route.of_distributed (read p))
+  tick t ~round ~graph ~alive ~view_of:read
+
+let typed_hook t ~round ~graph ~alive ~read =
+  tick t ~round ~graph ~alive ~view_of:(fun p -> D.view (read p))
 
 let churn_feed t =
   if Array.length t.batteries = 0 then Churn.nothing
   else
     Churn.generator (fun ~round:_ dyn _rng ->
+        check_size t "churn_feed" (Dynamic.node_count dyn);
         (* Drawless by construction: emitting (or not) consumes nothing
            from the plan generator, so attaching the feed perturbs no
            other churn stream. *)

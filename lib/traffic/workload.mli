@@ -61,31 +61,52 @@ val create : config -> n:int -> t
 (** A workload instance for one run over [n] nodes. Raises
     [Invalid_argument] on non-positive [ttl]/[max_attempts], negative
     [rate]/[backoff_base], [backoff_cap < backoff_base], or a
-    non-positive [duty_every]/[capacity] in the energy model. *)
+    non-positive [duty_every]/[capacity] in the energy model. Every
+    per-round work array (the arrival pool, the duty round's head mask)
+    is allocated here, once. *)
 
 val tick :
   t ->
   round:int ->
   graph:Ss_topology.Graph.t ->
   alive:bool array ->
-  view_of:(int -> Route.view) ->
+  view_of:(int -> Ss_cluster.Distributed.view) ->
   bool
 (** One data-plane round; the engine hooks call this. Rounds must be
     consecutive from 1 (raises [Invalid_argument] otherwise — one [t]
-    rides exactly one run). Returns whether the workload is still
-    active: more arrivals to offer or messages in flight. Requires the
-    graph to carry positions (geographic routing). *)
+    rides exactly one run). The graph and the liveness mask must both
+    have the [n] nodes given to {!create} (raises [Invalid_argument]
+    otherwise). Returns whether the workload is still active: more
+    arrivals to offer or messages in flight. Requires the graph to carry
+    positions (geographic routing).
+
+    [view_of] is called once per routing decision (for the holder) and,
+    on duty rounds, once per alive node (for its believed head); a
+    returned view is used before the next call and never kept. *)
 
 val hook :
   t ->
   round:int ->
   graph:Ss_topology.Graph.t ->
   alive:bool array ->
+  read:(int -> Ss_cluster.Distributed.view) ->
+  bool
+(** [tick] with [read] as [view_of] — exactly the shape of
+    {!Ss_engine.Flat.Make.run}'s [?workload] parameter for the
+    {!Ss_cluster.Distributed} protocol, where [read] aliases the flat
+    planes and copies nothing. *)
+
+val typed_hook :
+  t ->
+  round:int ->
+  graph:Ss_topology.Graph.t ->
+  alive:bool array ->
   read:(int -> Ss_cluster.Distributed.state) ->
   bool
-(** [tick] pre-composed with {!Route.of_distributed} — exactly the shape
-    of the engines' [?workload] parameter for the {!Ss_cluster.Distributed}
-    protocol. *)
+(** [tick] pre-composed with the typed projection
+    {!Ss_cluster.Distributed.view} — the shape of
+    {!Ss_engine.Engine.Make.run}'s [?workload] parameter. Same decisions
+    as {!hook} on the flat executor, one fresh view per read. *)
 
 val churn_feed : t -> Ss_engine.Churn.t
 (** The energy→churn half of the feedback loop: a drawless generator
@@ -93,7 +114,9 @@ val churn_feed : t -> Ss_engine.Churn.t
     the dynamic topology still considers alive — the engine applies them
     at the next round boundary, before that round's communication.
     {!Ss_engine.Churn.nothing} when the workload has no energy model.
-    Compose it with the run's scheduled churn. *)
+    Compose it with the run's scheduled churn. The generator raises
+    [Invalid_argument] when the dynamic topology's node count is not the
+    [n] given to {!create}. *)
 
 (** {2 Results} *)
 

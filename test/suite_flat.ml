@@ -17,7 +17,13 @@
        run-evolved and every [corrupt]-produced state, for every shipped
        algorithm config — the sentinel encodings lose nothing.
    (e) The hot-path allocation fixes hold: a quiet sparse round and a
-       reuse-mode rebase both allocate O(frontier)/O(diff), not O(n). *)
+       reuse-mode rebase both allocate O(frontier)/O(diff), not O(n).
+   (f) The view contract: on planes evolved in place and on planes
+       scrambled by [corrupt], for every shipped config, [Flat.view b p]
+       reads what the typed projection [view (unpack b p)] reads, routes
+       identically, and no decision moves when only the heard stamps are
+       overwritten (DESIGN §13's executor-independence argument). A view
+       read allocates O(1) words whatever the degree. *)
 
 module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
@@ -34,6 +40,8 @@ module Fleet = Ss_mobility.Fleet
 module Distributed = Ss_cluster.Distributed
 module Config = Ss_cluster.Config
 module Rng = Ss_prng.Rng
+module Vec2 = Ss_geom.Vec2
+module Route = Ss_traffic.Route
 
 (* ------------------------------------------- (a)+(b): static-base battery *)
 
@@ -503,9 +511,232 @@ let test_reuse_rebase_alloc () =
     true
     (big < (2.0 *. small) +. 8192.0)
 
+(* ------------------------------------------------ (f): view contract *)
+
+(* A bare synchronous driver over the plane, as the executor runs it:
+   tick, step every node on its sorted neighbors, refresh every
+   emission. The planes it leaves are the in-place evolved rows the
+   workload hook sees, spare capacity and all. *)
+module Drive (P : Ss_engine.Protocol.FLAT) = struct
+  let refresh b sc p = ignore (P.Flat.refresh_emit b sc p)
+
+  let start rng g =
+    let b = P.Flat.alloc g in
+    P.Flat.init_all b rng g;
+    let sc = P.Flat.scratch b in
+    for p = 0 to Graph.node_count g - 1 do
+      refresh b sc p
+    done;
+    (b, sc)
+
+  let rounds b sc g ~first ~count =
+    let n = Graph.node_count g in
+    for r = first to first + count - 1 do
+      P.Flat.tick b;
+      let key = Rng.key ~seed:r in
+      for p = 0 to n - 1 do
+        let senders = Graph.neighbors g p in
+        ignore (P.Flat.step b sc key p ~senders ~count:(Array.length senders))
+      done;
+      for p = 0 to n - 1 do
+        refresh b sc p
+      done
+    done
+end
+
+let random_world rng ~n ~radius =
+  Graph.unit_disk ~radius
+    (Array.init n (fun _ ->
+         let x = Rng.float rng 1.0 in
+         let y = Rng.float rng 1.0 in
+         Vec2.v x y))
+
+(* Everything a view answers, as plain data: head, parent, each peer
+   with the probes it claims, and the far heads. *)
+let reads ~probes v =
+  let peers = ref [] in
+  Distributed.iter_peers v (fun slot q ->
+      peers := (q, List.filter (Distributed.peer_claims v slot) probes) :: !peers);
+  let far = ref [] in
+  Distributed.iter_far_heads v (fun t -> far := t :: !far);
+  ( Distributed.view_head v,
+    Distributed.view_parent v,
+    List.rev !peers,
+    List.rev !far )
+
+(* The same answers read straight off the typed state's fields. *)
+let reads_of_state ~probes (st : Distributed.state) =
+  ( st.Distributed.head,
+    st.Distributed.parent,
+    List.map
+      (fun (q, (e : Distributed.entry)) ->
+        (q, List.filter (fun t -> Array.mem t e.Distributed.e_nbrs) probes))
+      st.Distributed.cache,
+    List.filter_map
+      (fun (v, (f : Distributed.far_entry)) ->
+        if f.Distributed.f_is_head then Some v else None)
+      st.Distributed.far )
+
+(* Out-of-range and corrupt claims included: every claimed value is a
+   probe, plus the whole universe and the -1 sentinel. *)
+let probes_of ~n (st : Distributed.state) =
+  List.init (n + 2) (fun i -> i - 1)
+  @ List.concat_map
+      (fun (_, (e : Distributed.entry)) -> Array.to_list e.Distributed.e_nbrs)
+      st.Distributed.cache
+
+let restamp rng (st : Distributed.state) =
+  let stamp () = Rng.int rng 1_000 - 500 in
+  {
+    st with
+    Distributed.clock = stamp ();
+    cache =
+      List.map
+        (fun (q, e) -> (q, { e with Distributed.e_heard = stamp () }))
+        st.Distributed.cache;
+    far =
+      List.map
+        (fun (v, f) -> (v, { f with Distributed.f_heard = stamp () }))
+        st.Distributed.far;
+  }
+
+type vcase = {
+  v_seed : int;
+  v_config : int; (* 0 basic / 1 with_dag / 2 improved / 3 both / 4 ids *)
+  v_n : int;
+  v_rounds : int; (* evolved before the scramble *)
+  v_corrupt : int; (* nodes scrambled by [corrupt] *)
+  v_after : int; (* evolved after the scramble *)
+}
+
+let print_vcase c =
+  Printf.sprintf "{seed=%d; config=%d; n=%d; rounds=%d; corrupt=%d; after=%d}"
+    c.v_seed c.v_config c.v_n c.v_rounds c.v_corrupt c.v_after
+
+let gen_vcase =
+  QCheck.Gen.(
+    map
+      (fun ((v_seed, v_config, v_n), (v_rounds, v_corrupt, v_after)) ->
+        { v_seed; v_config; v_n; v_rounds; v_corrupt; v_after })
+      (pair
+         (triple (int_range 0 999_999) (int_range 0 4) (int_range 4 40))
+         (triple (int_range 0 12) (int_range 0 8) (int_range 0 3))))
+
+let shrink_vcase c yield =
+  QCheck.Shrink.int c.v_corrupt (fun v_corrupt -> yield { c with v_corrupt });
+  QCheck.Shrink.int c.v_after (fun v_after -> yield { c with v_after });
+  QCheck.Shrink.int c.v_rounds (fun v_rounds -> yield { c with v_rounds });
+  QCheck.Shrink.int c.v_n (fun v_n -> if v_n >= 4 then yield { c with v_n })
+
+let params_of_config ~n = function
+  | 0 -> { Distributed.default_params with algo = Config.basic; cache_ttl = 2 }
+  | 1 -> { Distributed.default_params with algo = Config.with_dag; cache_ttl = 2 }
+  | 2 -> { Distributed.default_params with algo = Config.improved; cache_ttl = 3 }
+  | 3 ->
+      { Distributed.default_params with
+        algo = Config.improved_with_dag; cache_ttl = 2 }
+  | _ ->
+      { Distributed.default_params with
+        ids = Some (Array.init n (fun i -> 911 - (7 * i))); cache_ttl = 3 }
+
+let run_view_case c =
+  let n = c.v_n in
+  let module P = Distributed.Make (struct
+    let params = params_of_config ~n c.v_config
+  end) in
+  let module D = Drive (P) in
+  let rng = Rng.create ~seed:c.v_seed in
+  let g = random_world rng ~n ~radius:0.35 in
+  let positions = Option.get (Graph.positions g) in
+  let b, sc = D.start rng g in
+  D.rounds b sc g ~first:1 ~count:c.v_rounds;
+  for _ = 1 to c.v_corrupt do
+    let p = Rng.int rng n in
+    P.Flat.pack b p (Distributed.corrupt rng p (P.Flat.unpack b p));
+    D.refresh b sc p
+  done;
+  D.rounds b sc g ~first:(c.v_rounds + 1) ~count:c.v_after;
+  (* The same states, every stamp overwritten, packed into fresh planes. *)
+  let stamped = P.Flat.alloc g in
+  for p = 0 to n - 1 do
+    P.Flat.pack stamped p (restamp rng (P.Flat.unpack b p))
+  done;
+  let typed p = P.view (P.Flat.unpack b p) in
+  let readers_agree =
+    List.for_all
+      (fun p ->
+        let st = P.Flat.unpack b p in
+        let probes = probes_of ~n st in
+        let r = reads ~probes (P.Flat.view b p) in
+        r = reads ~probes (P.view st)
+        && r = reads_of_state ~probes st
+        && r = reads ~probes (P.Flat.view stamped p))
+      (List.init n Fun.id)
+  in
+  let route view_of (cur, dst, via, prev, ban) =
+    Route.next_hop ~positions ~view_of ~n ~cur ~dst ~via ~prev
+      ~banned:(fun q -> List.mem q ban)
+  in
+  let queries =
+    List.init 40 (fun _ ->
+        let node () = Rng.int rng (n + 2) - 1 in
+        ( Rng.int rng n,
+          node (),
+          node (),
+          node (),
+          List.init (Rng.int rng 3) (fun _ -> Rng.int rng n) ))
+  in
+  readers_agree
+  && List.for_all
+       (fun q ->
+         let d = route (P.Flat.view b) q in
+         d = route typed q && d = route (P.Flat.view stamped) q)
+       queries
+
+let prop_view_contract =
+  QCheck.Test.make
+    ~name:"view contract: Flat.view = view o unpack, stamps never read"
+    ~count:150
+    (QCheck.make ~print:print_vcase ~shrink:shrink_vcase gen_vcase)
+    run_view_case
+
+(* A flat view read aliases the node's rows: the same words per read at
+   mean degree ~3 and ~40, and a handful of words at that. *)
+let view_read_words ~radius =
+  let module P = Distributed.Make (struct
+    let params = Distributed.default_params
+  end) in
+  let module D = Drive (P) in
+  let rng = Rng.create ~seed:21 in
+  let n = 300 in
+  let g = random_world rng ~n ~radius in
+  let b, sc = D.start rng g in
+  D.rounds b sc g ~first:1 ~count:6;
+  let reads = 3_000 in
+  let before = Gc.minor_words () in
+  for i = 0 to reads - 1 do
+    ignore (Sys.opaque_identity (P.Flat.view b (i mod n)))
+  done;
+  let words = Gc.minor_words () -. before in
+  let degree = 2.0 *. float_of_int (Graph.edge_count g) /. float_of_int n in
+  (degree, words /. float_of_int reads)
+
+let test_view_read_alloc () =
+  let d_lo, w_lo = view_read_words ~radius:0.06 in
+  let d_hi, w_hi = view_read_words ~radius:0.2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "degrees differ (%.1f vs %.1f)" d_lo d_hi)
+    true (d_hi > 4.0 *. d_lo);
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "words per view read, degree %.1f vs %.1f" d_lo d_hi)
+    w_lo w_hi;
+  Alcotest.(check bool)
+    (Printf.sprintf "a view read is O(1) words (%.2f)" w_lo)
+    true (w_lo <= 8.0)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_flat_equals_dense; prop_flat_equals_dense_motion ]
+    [ prop_flat_equals_dense; prop_flat_equals_dense_motion; prop_view_contract ]
 
 let suite =
   [
@@ -519,3 +750,7 @@ let suite =
       test_reuse_rebase_alloc;
   ]
   @ qcheck_cases
+  @ [
+      Alcotest.test_case "a flat view read allocates O(1) words" `Quick
+        test_view_read_alloc;
+    ]

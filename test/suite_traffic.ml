@@ -5,15 +5,20 @@
        bit-identical on every observable — per-message planes, per-round
        series, counters, batteries — over random geometric worlds with
        lossy data channels, a crash/rejoin burst and energy drain
-       (QCheck; this is the freshness-stamp-projection argument of
-       [Route.of_distributed] tested empirically).
+       (QCheck; this is the argument that no view accessor reads a
+       freshness stamp, tested end to end — typed executors read
+       [Distributed.view] of their states, the flat one aliases its
+       planes).
    (b) Directed pins: a message re-routes around its crashed relay and
        still delivers (monitor invalidation); an unreachable destination
        expires at exactly [born + ttl]; the retry/backoff schedule under
        total frame loss is the documented deterministic sequence.
    (c) The flat-path workload hook allocates O(1) per idle round — an
        attached-but-idle workload must not scale the quiet-round cost
-       with the network. *)
+       with the network — and a duty round, which reads every alive
+       node's view, allocates nothing on the major heap at any size.
+   (d) A workload sized for a different network is refused up front,
+       in both directions, by [tick] and by [churn_feed]. *)
 
 module Graph = Ss_topology.Graph
 module Vec2 = Ss_geom.Vec2
@@ -24,7 +29,7 @@ module Flat = Ss_engine.Flat
 module Distributed = Ss_cluster.Distributed
 module Rng = Ss_prng.Rng
 module W = Ss_traffic.Workload
-module Route = Ss_traffic.Route
+module Dynamic = Ss_topology.Dynamic
 
 module P = Distributed.Make (struct
   let params = Distributed.default_params
@@ -76,7 +81,7 @@ let test_retry_after_relay_crash () =
   let rng = Rng.create ~seed:3 in
   ignore
     (E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:60 ~churn
-       ~workload:(W.hook w) rng g);
+       ~workload:(W.typed_hook w) rng g);
   let t = W.totals w in
   Alcotest.(check bool) "offered some traffic" true (t.W.offered > 0);
   Alcotest.(check int) "nothing expired (ring always progresses)" 0
@@ -107,8 +112,8 @@ let test_ttl_expiry () =
   let w = W.create cfg ~n:4 in
   let rng = Rng.create ~seed:9 in
   ignore
-    (E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:30 ~workload:(W.hook w)
-       rng g);
+    (E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:30
+       ~workload:(W.typed_hook w) rng g);
   let t = W.totals w in
   let s = W.series w in
   Alcotest.(check int) "three arrivals in round 1" 3 t.W.offered;
@@ -149,8 +154,8 @@ let test_backoff_schedule () =
   let w = W.create cfg ~n:2 in
   let rng = Rng.create ~seed:1 in
   ignore
-    (E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:40 ~workload:(W.hook w)
-       rng g);
+    (E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:40
+       ~workload:(W.typed_hook w) rng g);
   let t = W.totals w in
   let s = W.series w in
   let attempt_rounds = ref [] in
@@ -241,14 +246,15 @@ let run_exec c g exec =
     | Dense ->
         let r =
           E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:70 ~churn
-            ~workload:(W.hook w) rng g
+            ~workload:(W.typed_hook w) rng g
         in
         (r.E.states, r.E.alive, r.E.rounds)
     | Sparse ->
         let r =
           E.run
             ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-            ~quiet_rounds ~max_rounds:70 ~churn ~workload:(W.hook w) rng g
+            ~quiet_rounds ~max_rounds:70 ~churn
+            ~workload:(W.typed_hook w) rng g
         in
         (r.E.states, r.E.alive, r.E.rounds)
     | FlatD domains ->
@@ -278,7 +284,8 @@ let prop_workload_executor_independent =
 
 (* -------------------------------- (c): idle workload hook allocation *)
 
-let idle_hook_alloc n =
+(* [n] nodes on a square lattice, each linked to its 8 nearest. *)
+let grid_world n =
   let side = int_of_float (sqrt (float_of_int n)) in
   let positions =
     Array.init n (fun i ->
@@ -286,7 +293,10 @@ let idle_hook_alloc n =
           (float_of_int (i mod side) /. float_of_int side)
           (float_of_int (i / side) /. float_of_int side))
   in
-  let g = Graph.unit_disk ~radius:(1.6 /. float_of_int side) positions in
+  Graph.unit_disk ~radius:(1.6 /. float_of_int side) positions
+
+let idle_hook_alloc n =
+  let g = grid_world n in
   let cfg = { W.default_config with W.seed = 3; rate = 0.0 } in
   let w = W.create cfg ~n in
   let w_lo = ref 0.0 and w_hi = ref 0.0 in
@@ -310,6 +320,91 @@ let test_idle_hook_alloc () =
     true
     (big < (2.0 *. small) +. 16384.0)
 
+(* A duty round reads every alive node's view for its believed head. On
+   the flat path that must cost minor-heap words only: the arrival pool
+   and the head mask are preallocated, views alias the planes. Every
+   round is a duty round here, one message arrives per round, and the
+   minor heap is emptied before each measured hook call so the count is
+   the hook's own direct major allocation. The window ends before the
+   per-message planes outgrow a minor-heap block. *)
+let duty_major_words n =
+  let g = grid_world n in
+  let cfg =
+    {
+      W.default_config with
+      W.seed = 8;
+      rate = 1.0;
+      ttl = 16;
+      energy =
+        Some { W.default_energy with W.capacity = 1e9; duty_every = 1 };
+    }
+  in
+  let w = W.create cfg ~n in
+  (* [Gc.counters] is current at every call ([Gc.quick_stat]'s major
+     count only moves at collections). *)
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let major = ref 0.0 in
+  let hook ~round ~graph ~alive ~read =
+    if round < 10 || round > 50 then W.hook w ~round ~graph ~alive ~read
+    else begin
+      Gc.minor ();
+      let before = major_words () in
+      let active = W.hook w ~round ~graph ~alive ~read in
+      major := !major +. (major_words () -. before);
+      active
+    end
+  in
+  let rng = Rng.create ~seed:4 in
+  ignore (F.run ~quiet_rounds:2 ~max_rounds:55 ~workload:hook rng g);
+  !major
+
+let test_duty_round_major_alloc () =
+  List.iter
+    (fun n ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "major words over 41 duty rounds at %d nodes" n)
+        0.0 (duty_major_words n))
+    [ 512; 4096 ]
+
+(* --------------------------- (d): workload sized for another network *)
+
+let refused f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument msg ->
+      String.length msg >= 9 && String.sub msg 0 9 = "Workload."
+
+let test_size_mismatch () =
+  let g = wheel () in
+  List.iter
+    (fun n ->
+      let cfg =
+        { W.default_config with W.seed = 2; energy = Some W.default_energy }
+      in
+      let rng = Rng.create ~seed:1 in
+      let w = W.create cfg ~n in
+      Alcotest.(check bool)
+        (Printf.sprintf "flat run: workload for %d nodes on 7 refused" n)
+        true
+        (refused (fun () ->
+             F.run ~quiet_rounds ~max_rounds:10 ~workload:(W.hook w) rng g));
+      let w = W.create cfg ~n in
+      Alcotest.(check bool)
+        (Printf.sprintf "tick: %d-node alive mask refused" n)
+        true
+        (refused (fun () ->
+             W.tick (W.create cfg ~n:7) ~round:1 ~graph:g
+               ~alive:(Array.make n true) ~view_of:(fun _ -> assert false)));
+      Alcotest.(check bool)
+        (Printf.sprintf "churn_feed: workload for %d nodes on 7 refused" n)
+        true
+        (refused (fun () ->
+             Churn.events_at (W.churn_feed w) ~round:1 (Dynamic.create g) rng)))
+    [ 6; 8 ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_workload_executor_independent ]
 
@@ -325,3 +420,9 @@ let suite =
       test_idle_hook_alloc;
   ]
   @ qcheck_cases
+  @ [
+      Alcotest.test_case "duty rounds allocate no major-heap words" `Quick
+        test_duty_round_major_alloc;
+      Alcotest.test_case "workload sized for another network is refused"
+        `Quick test_size_mismatch;
+    ]

@@ -32,4 +32,5 @@ let () =
       ("theory", Suite_theory.suite);
       ("regression", Suite_regression.suite);
       ("paper-example", Suite_paper_example.suite);
+      ("cli", Suite_cli.suite);
     ]
