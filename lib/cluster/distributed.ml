@@ -492,21 +492,7 @@ struct
       far_len : int array; (* entries in far.(p) *)
       em : int array; (* interleaved frame scalars, stride 6 *)
       em_nbrs : int array array;
-      mutable now : int; (* executor round counter, see [tick] *)
-      em_ver : int array; (* round of last emission change, per node *)
-      synced : int array;
-          (* fast-path stamp: round as of which every cache entry equals
-             its emitter's current emission and every far entry comes
-             from the same senders' current summaries; -1 = unsyncable
-             (some entry was carried over, or the planes were packed) *)
       minh : int array; (* min heard stamp across cache+far; max_int = none *)
-      calm : Bytes.t;
-          (* '\001' iff the node's last step changed no state and drew no
-             randomness: a repeat step on unchanged inputs is then a
-             provable no-op beyond the heard restamps *)
-      quiet_emit : Bytes.t;
-          (* '\001' iff the last step proved the emission unchanged;
-             consumed by [refresh_emit] to skip the rebuild+compare *)
     }
 
     type scratch = {
@@ -540,15 +526,8 @@ struct
         far_len = ia ();
         em = Array.init (6 * n) (fun i -> if i mod 6 = 5 then -1 else 0);
         em_nbrs = aa ();
-        now = 0;
-        em_ver = ia ();
-        synced = Array.make n (-1);
         minh = Array.make n max_int;
-        calm = Bytes.make n '\000';
-        quiet_emit = Bytes.make n '\000';
       }
-
-    let tick b = b.now <- b.now + 1
 
     let scratch _b =
       {
@@ -577,7 +556,6 @@ struct
       | Some ids when Array.length ids <> b.n ->
           invalid_arg "Distributed: ids length mismatch"
       | Some _ | None -> ());
-      b.now <- 0;
       for p = 0 to b.n - 1 do
         b.clock.(p) <- 0;
         b.gamma.(p) <- gamma;
@@ -591,11 +569,7 @@ struct
         b.cache_cnt.(p) <- 0;
         b.far_len.(p) <- 0;
         b.em.((6 * p) + 5) <- -1;
-        b.em_ver.(p) <- 0;
-        b.synced.(p) <- -1;
-        b.minh.(p) <- max_int;
-        Bytes.unsafe_set b.calm p '\000';
-        Bytes.unsafe_set b.quiet_emit p '\000'
+        b.minh.(p) <- max_int
       done
 
     let pack b p (st : state) =
@@ -620,9 +594,6 @@ struct
       b.far.(p) <- grow b.far.(p) (6 * flen);
       write_far b.far.(p) st.far;
       b.far_len.(p) <- flen;
-      b.synced.(p) <- -1;
-      Bytes.unsafe_set b.calm p '\000';
-      Bytes.unsafe_set b.quiet_emit p '\000';
       let mh = ref max_int in
       List.iter
         (fun (_, e) -> if e.e_heard < !mh then mh := e.e_heard)
@@ -689,16 +660,12 @@ struct
       }
 
     let refresh_emit b s p =
-      if Bytes.unsafe_get b.quiet_emit p = '\001' then begin
-        (* The paired calm step just proved the emission unchanged; the
-           flag is one-shot so any other caller rebuilds as usual. *)
-        Bytes.unsafe_set b.quiet_emit p '\000';
-        false
-      end
-      else begin
       let cnt = b.cache_cnt.(p) in
-      s.ebuf <- grow s.ebuf (5 * cnt);
-      let eb = s.ebuf in
+      let eb =
+        let a = grow s.ebuf (5 * cnt) in
+        if a != s.ebuf then s.ebuf <- a;
+        a
+      in
       let c = b.cache.(p) in
       let pos = ref 0 in
       for i = 0 to cnt - 1 do
@@ -739,11 +706,9 @@ struct
         for i = 0 to (5 * cnt) - 1 do
           en.(i) <- eb.(i)
         done;
-        b.em.(e + 5) <- cnt;
-        b.em_ver.(p) <- b.now
+        b.em.(e + 5) <- cnt
       end;
       changed
-      end
 
     (* An entry not refreshed at the node's last executed step is aging
        toward its TTL — [step] maintains the plane-wide minimum heard
@@ -766,125 +731,75 @@ struct
             else if inc2 && not inc1 then -1
             else Int.compare id2 id1
 
+    (* One closure-free path. Without flambda, a local helper called from
+       several non-tail sites is a heap closure allocated each time its
+       [let] runs, and every ref it captures is boxed; so each merge below
+       is a plain loop over local refs, and a drawless step allocates
+       nothing (pinned in test/suite_flat.ml). *)
     let step b s hkey p ~senders ~count =
       let ttl = params.cache_ttl in
       let clock' = b.clock.(p) + 1 in
       let old = b.cache.(p) in
       let old_used = b.cache_used.(p) in
-      (* --- steady-state fast path: when the senders are exactly the
-         cached entries' keys and no sender's emission changed since both
-         planes were last built all-fresh from these same senders, the
-         merges below would reproduce both planes verbatim with every
-         heard stamp at clock'. Restamp in place, skip the rebuilds. *)
-      let stamp = b.synced.(p) in
-      let fast =
-        stamp >= 0
-        && count = b.cache_cnt.(p)
-        &&
-        let ok = ref true and pos = ref 0 and i = ref 0 in
-        while !ok && !i < count do
-          let q = senders.(!i) in
-          if old.(!pos) <> q || b.em_ver.(q) > stamp then ok := false
-          else begin
-            pos := !pos + 8 + old.(!pos + 7);
-            incr i
-          end
-        done;
-        !ok
+      (* --- cache refresh: sorted merge of the surviving old entries and
+         the fresh frames (senders ascending); a fresh frame replaces the
+         old entry for the same neighbor, everything else is TTL-filtered
+         at the new clock — exactly the typed refresh_cache. Scratch is
+         pre-sized from upper bounds once, so the merge loops are plain
+         int stores: no growth checks, no write barriers, no C-call
+         blits. *)
+      let old_cnt = b.cache_cnt.(p) in
+      let ofar = b.far.(p) and ocnt = b.far_len.(p) in
+      let sn_total = ref 0 in
+      for i = 0 to count - 1 do
+        sn_total := !sn_total + b.em.((6 * senders.(i)) + 5)
+      done;
+      let cbuf =
+        let a = grow s.cbuf (old_used + (8 * count) + !sn_total) in
+        if a != s.cbuf then s.cbuf <- a;
+        a
       in
-      if fast && Bytes.unsafe_get b.calm p = '\001' then begin
-        (* --- calm tier: the last step changed no state and drew no
-           randomness, and the inputs are bit-identical again — the
-           name/density/election recomputation below would reproduce
-           every current value and the emission is provably unchanged.
-           Restamp the heard fields and stop; [refresh_emit] consumes
-           the quiet flag to skip its rebuild too. *)
-        let pos = ref 0 in
-        for _ = 1 to count do
-          old.(!pos + 1) <- clock';
-          pos := !pos + 8 + old.(!pos + 7)
-        done;
-        let f = b.far.(p) in
-        for i = 0 to b.far_len.(p) - 1 do
-          f.((6 * i) + 1) <- clock'
-        done;
-        b.minh.(p) <-
-          (if count = 0 && b.far_len.(p) = 0 then max_int else clock');
-        b.synced.(p) <- b.now - 1;
-        b.clock.(p) <- clock';
-        Bytes.unsafe_set b.quiet_emit p '\001';
-        false
-      end
-      else begin
-      let new_used = ref old_used
-      and new_cnt = ref b.cache_cnt.(p)
-      and new_far_cnt = ref b.far_len.(p) in
-      if fast then begin
-        let pos = ref 0 in
-        for _ = 1 to count do
-          old.(!pos + 1) <- clock';
-          pos := !pos + 8 + old.(!pos + 7)
-        done;
-        let f = b.far.(p) in
-        for i = 0 to b.far_len.(p) - 1 do
-          f.((6 * i) + 1) <- clock'
-        done;
-        b.minh.(p) <-
-          (if count = 0 && b.far_len.(p) = 0 then max_int else clock');
-        b.synced.(p) <- b.now - 1
-      end
-      else begin
-        (* --- cache refresh: sorted merge of the surviving old entries
-           and the fresh frames (senders ascending); a fresh frame
-           replaces the old entry for the same neighbor, everything else
-           is TTL-filtered at the new clock — exactly the typed
-           refresh_cache. Scratch is pre-sized from upper bounds once,
-           so the merge loops are plain int stores: no growth checks,
-           no write barriers, no C-call blits. *)
-        let old_cnt = b.cache_cnt.(p) in
-        let ofar = b.far.(p) and ocnt = b.far_len.(p) in
-        let sn_total = ref 0 in
-        for i = 0 to count - 1 do
-          sn_total := !sn_total + b.em.((6 * senders.(i)) + 5)
-        done;
-        let cbuf =
-          let a = grow s.cbuf (old_used + (8 * count) + !sn_total) in
-          if a != s.cbuf then s.cbuf <- a;
-          a
-        in
-        let ckeys =
-          let a = grow s.ckeys (old_cnt + count) in
-          if a != s.ckeys then s.ckeys <- a;
-          a
-        in
-        let fmax = 6 * (ocnt + !sn_total) in
-        let fa0 =
-          let a = grow s.fa fmax in
-          if a != s.fa then s.fa <- a;
-          a
-        in
-        let fb0 =
-          let a = grow s.fb fmax in
-          if a != s.fb then s.fb <- a;
-          a
-        in
-        let minh = ref max_int in
-        let all_fresh = ref true in
-        let used = ref 0 and cnt = ref 0 in
-        let put_old pos =
+      let ckeys =
+        let a = grow s.ckeys (old_cnt + count) in
+        if a != s.ckeys then s.ckeys <- a;
+        a
+      in
+      let fmax = 6 * (ocnt + !sn_total) in
+      let fa0 =
+        let a = grow s.fa fmax in
+        if a != s.fa then s.fa <- a;
+        a
+      in
+      let fb0 =
+        let a = grow s.fb fmax in
+        if a != s.fb then s.fb <- a;
+        a
+      in
+      let minh = ref max_int in
+      let used = ref 0 and cnt = ref 0 in
+      let opos = ref 0 and si = ref 0 in
+      while !opos < old_used || !si < count do
+        if !si >= count || (!opos < old_used && old.(!opos) < senders.(!si))
+        then begin
+          (* an old entry no sender refreshed: kept within the TTL *)
+          let pos = !opos in
           let sz = 8 + old.(pos + 7) in
-          let u = !used in
-          for i = 0 to sz - 1 do
-            cbuf.(u + i) <- old.(pos + i)
-          done;
-          (let h = old.(pos + 1) in
-           if h < !minh then minh := h);
-          ckeys.(!cnt) <- old.(pos);
-          incr cnt;
-          all_fresh := false;
-          used := u + sz
-        in
-        let put_fresh q =
+          let h = old.(pos + 1) in
+          if clock' - h <= ttl then begin
+            let u = !used in
+            for i = 0 to sz - 1 do
+              cbuf.(u + i) <- old.(pos + i)
+            done;
+            if h < !minh then minh := h;
+            ckeys.(!cnt) <- old.(pos);
+            incr cnt;
+            used := u + sz
+          end;
+          opos := pos + sz
+        end
+        else begin
+          (* a fresh frame, replacing any old entry for the same sender *)
+          let q = senders.(!si) in
           let e = 6 * q in
           let nlen = b.em.(e + 5) in
           let u = !used in
@@ -902,57 +817,32 @@ struct
           done;
           ckeys.(!cnt) <- q;
           incr cnt;
-          used := u + 8 + nlen
-        in
-        let opos = ref 0 and si = ref 0 in
-        while !opos < old_used || !si < count do
-          if !si >= count then begin
-            if clock' - old.(!opos + 1) <= ttl then put_old !opos;
+          used := u + 8 + nlen;
+          incr si;
+          if !opos < old_used && old.(!opos) = q then
             opos := !opos + 8 + old.(!opos + 7)
-          end
-          else if !opos >= old_used then begin
-            put_fresh senders.(!si);
-            incr si
-          end
-          else begin
-            let oq = old.(!opos) and sq = senders.(!si) in
-            if oq < sq then begin
-              if clock' - old.(!opos + 1) <= ttl then put_old !opos;
-              opos := !opos + 8 + old.(!opos + 7)
-            end
-            else begin
-              put_fresh sq;
-              incr si;
-              if oq = sq then opos := !opos + 8 + old.(!opos + 7)
-            end
-          end
-        done;
-        (* --- far refresh: fresh relayed summaries first (iterative
-           sorted merge across senders ascending, a later sender's claim
-           overwrites an earlier one's, self skipped — the typed fold's
-           assoc_put order), then merged over the TTL-filtered old
-           entries with fresh winning collisions. The ping-pong direction
-           is chosen by parity, so the loop performs no pointer swaps. *)
-        let fcnt = ref 0 and parity = ref false in
-        for i = 0 to count - 1 do
-          let q = senders.(i) in
-          let sn = b.em.((6 * q) + 5) in
-          if sn > 0 then begin
-            let en = b.em_nbrs.(q) in
-            let fa = if !parity then fb0 else fa0 in
-            let fb = if !parity then fa0 else fb0 in
-            let out = ref 0 and ai = ref 0 and bi = ref 0 in
-            let put_summary j =
-              let e = 5 * j and o = 6 * !out in
-              fb.(o) <- en.(e);
-              fb.(o + 1) <- clock';
-              fb.(o + 2) <- en.(e + 1);
-              fb.(o + 3) <- en.(e + 2);
-              fb.(o + 4) <- en.(e + 3);
-              fb.(o + 5) <- en.(e + 4);
-              incr out
-            in
-            let copy_a () =
+        end
+      done;
+      (* --- far refresh: fresh relayed summaries first (iterative sorted
+         merge across senders ascending, a later sender's claim overwrites
+         an earlier one's, self skipped — the typed fold's assoc_put
+         order), then merged over the TTL-filtered old entries with fresh
+         winning collisions. The ping-pong direction is chosen by parity,
+         so the loop performs no pointer swaps. *)
+      let fcnt = ref 0 and parity = ref false in
+      for i = 0 to count - 1 do
+        let q = senders.(i) in
+        let sn = b.em.((6 * q) + 5) in
+        if sn > 0 then begin
+          let en = b.em_nbrs.(q) in
+          let fa = if !parity then fb0 else fa0 in
+          let fb = if !parity then fa0 else fb0 in
+          let out = ref 0 and ai = ref 0 and bi = ref 0 in
+          while !ai < !fcnt || !bi < sn do
+            if !bi < sn && en.(5 * !bi) = p then incr bi
+            else if !bi >= sn || (!ai < !fcnt && fa.(6 * !ai) < en.(5 * !bi))
+            then begin
+              (* an earlier sender's claim, not overwritten *)
               let sa = 6 * !ai and o = 6 * !out in
               fb.(o) <- fa.(sa);
               fb.(o + 1) <- fa.(sa + 1);
@@ -962,33 +852,32 @@ struct
               fb.(o + 5) <- fa.(sa + 5);
               incr ai;
               incr out
-            in
-            while !ai < !fcnt || !bi < sn do
-              if !bi < sn && en.(5 * !bi) = p then incr bi
-              else if !bi >= sn then copy_a ()
-              else if !ai >= !fcnt then begin
-                put_summary !bi;
-                incr bi
-              end
-              else begin
-                let ak = fa.(6 * !ai) and bk = en.(5 * !bi) in
-                if ak < bk then copy_a ()
-                else begin
-                  put_summary !bi;
-                  incr bi;
-                  if ak = bk then incr ai
-                end
-              end
-            done;
-            parity := not !parity;
-            fcnt := !out
-          end
-        done;
-        let fresh = if !parity then fb0 else fa0 in
-        let fn = !fcnt in
-        let fdst = if !parity then fa0 else fb0 in
-        let fout = ref 0 and oi = ref 0 and fi = ref 0 in
-        let keep_old () =
+            end
+            else begin
+              (* this sender's claim, overwriting an earlier equal key *)
+              let j = 5 * !bi and o = 6 * !out in
+              fb.(o) <- en.(j);
+              fb.(o + 1) <- clock';
+              fb.(o + 2) <- en.(j + 1);
+              fb.(o + 3) <- en.(j + 2);
+              fb.(o + 4) <- en.(j + 3);
+              fb.(o + 5) <- en.(j + 4);
+              if !ai < !fcnt && fa.(6 * !ai) = en.(j) then incr ai;
+              incr bi;
+              incr out
+            end
+          done;
+          parity := not !parity;
+          fcnt := !out
+        end
+      done;
+      let fresh = if !parity then fb0 else fa0 in
+      let fn = !fcnt in
+      let fdst = if !parity then fa0 else fb0 in
+      let fout = ref 0 and oi = ref 0 and fi = ref 0 in
+      while !oi < ocnt || !fi < fn do
+        if !fi >= fn || (!oi < ocnt && ofar.(6 * !oi) < fresh.(6 * !fi)) then begin
+          (* an old entry no fresh summary covers: kept within the TTL *)
           let so = 6 * !oi in
           let h = ofar.(so + 1) in
           if clock' - h <= ttl then begin
@@ -1000,12 +889,11 @@ struct
             fdst.(o + 4) <- ofar.(so + 4);
             fdst.(o + 5) <- ofar.(so + 5);
             if h < !minh then minh := h;
-            all_fresh := false;
             incr fout
           end;
           incr oi
-        in
-        let take_fresh () =
+        end
+        else begin
           let sf = 6 * !fi and o = 6 * !fout in
           fdst.(o) <- fresh.(sf);
           fdst.(o + 1) <- fresh.(sf + 1);
@@ -1013,59 +901,39 @@ struct
           fdst.(o + 3) <- fresh.(sf + 3);
           fdst.(o + 4) <- fresh.(sf + 4);
           fdst.(o + 5) <- fresh.(sf + 5);
+          if !oi < ocnt && ofar.(6 * !oi) = fresh.(sf) then incr oi;
           incr fi;
           incr fout
-        in
-        while !oi < ocnt || !fi < fn do
-          if !oi >= ocnt then take_fresh ()
-          else if !fi >= fn then keep_old ()
-          else begin
-            let ok = ofar.(6 * !oi) and fk = fresh.(6 * !fi) in
-            if ok < fk then keep_old ()
-            else begin
-              take_fresh ();
-              if ok = fk then incr oi
-            end
-          end
-        done;
-        if (count > 0 || fn > 0) && clock' < !minh then minh := clock';
-        (* commit the new cache and far planes *)
-        let nu = !used and nc = !cnt and nfar = !fout in
-        let cdst =
-          let a = grow b.cache.(p) nu in
-          if a != b.cache.(p) then b.cache.(p) <- a;
-          a
-        in
-        for i = 0 to nu - 1 do
-          cdst.(i) <- cbuf.(i)
-        done;
-        b.cache_used.(p) <- nu;
-        b.cache_cnt.(p) <- nc;
-        let fcom =
-          let a = grow b.far.(p) (6 * nfar) in
-          if a != b.far.(p) then b.far.(p) <- a;
-          a
-        in
-        for i = 0 to (6 * nfar) - 1 do
-          fcom.(i) <- fdst.(i)
-        done;
-        b.far_len.(p) <- nfar;
-        b.minh.(p) <- !minh;
-        b.synced.(p) <- (if !all_fresh then b.now - 1 else -1);
-        new_used := nu;
-        new_cnt := nc;
-        new_far_cnt := nfar
-      end;
-      let new_used = !new_used
-      and new_cnt = !new_cnt
-      and new_far_cnt = !new_far_cnt in
+        end
+      done;
+      if (count > 0 || fn > 0) && clock' < !minh then minh := clock';
+      (* commit the new cache and far planes *)
+      let new_used = !used and new_cnt = !cnt and new_far_cnt = !fout in
+      let c =
+        let a = grow b.cache.(p) new_used in
+        if a != b.cache.(p) then b.cache.(p) <- a;
+        a
+      in
+      for i = 0 to new_used - 1 do
+        c.(i) <- cbuf.(i)
+      done;
+      b.cache_used.(p) <- new_used;
+      b.cache_cnt.(p) <- new_cnt;
+      let fcom =
+        let a = grow b.far.(p) (6 * new_far_cnt) in
+        if a != b.far.(p) then b.far.(p) <- a;
+        a
+      in
+      for i = 0 to (6 * new_far_cnt) - 1 do
+        fcom.(i) <- fdst.(i)
+      done;
+      b.far_len.(p) <- new_far_cnt;
+      b.minh.(p) <- !minh;
       (* --- N1 name resolution, draw-for-draw with resolve_dag: exactly
          one Rng.int when the node loses its name, none otherwise. The
          typed free list is built descending, so a draw k there selects
          the (k+1)-th largest free name. *)
       let gamma = b.gamma.(p) and gid = b.gid.(p) and old_dag = b.dag.(p) in
-      let c = b.cache.(p) in
-      let drew = ref false in
       let dag' =
         if not algo.Config.use_dag_names then old_dag
         else begin
@@ -1101,7 +969,6 @@ struct
             done;
             (* The only draw in a step; derive the node generator here so
                the overwhelmingly common drawless step allocates none. *)
-            drew := true;
             let rng = Rng.of_key (Rng.subkey hkey p) in
             if !nf = 0 then Rng.int rng gamma
             else s.free_names.(!nf - 1 - Rng.int rng !nf)
@@ -1109,21 +976,8 @@ struct
         end
       in
       (* --- density from the new cache (Density.of_local_view on the
-         entry keys, which are already sorted) *)
+         entry keys, which are already sorted in ckeys) *)
       let deg = new_cnt in
-      (* In the fast path the senders array IS the key set (just
-         verified); s.ckeys was not rebuilt. *)
-      let keys = if fast then senders else s.ckeys in
-      let mem_key r =
-        let lo = ref 0 and hi = ref deg and found = ref false in
-        while (not !found) && !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if keys.(mid) = r then found := true
-          else if keys.(mid) < r then lo := mid + 1
-          else hi := mid
-        done;
-        !found
-      in
       let among = ref 0 in
       let pos = ref 0 in
       while !pos < new_used do
@@ -1131,17 +985,26 @@ struct
         let nlen = c.(!pos + 7) in
         for i = 0 to nlen - 1 do
           let r = c.(!pos + 8 + i) in
-          if r > q && mem_key r then incr among
+          if r > q then begin
+            let lo = ref 0 and hi = ref deg in
+            while !lo < !hi do
+              let mid = (!lo + !hi) / 2 in
+              if ckeys.(mid) < r then lo := mid + 1 else hi := mid
+            done;
+            if !lo < deg && ckeys.(!lo) = r then incr among
+          end
         done;
         pos := !pos + 8 + nlen
       done;
       let dl' = deg + !among and dn' = deg in
       (* --- election, mirroring elect over the new planes. parent'/head'
-         start at the old values; every "None" outcome leaves them. *)
+         start at the old values; every "None" outcome leaves them, and
+         a join through the entry at [join_off] adopts its head. *)
       let old_parent = b.parent.(p) and old_head = b.head.(p) in
       let tie = algo.Config.tie in
       let use_dag = algo.Config.use_dag_names in
       let parent' = ref old_parent and head' = ref old_head in
+      let join_off = ref (-1) in
       let have_all = ref true in
       let pos = ref 0 in
       while !have_all && !pos < new_used do
@@ -1156,13 +1019,6 @@ struct
         else begin
           let my_eff = if use_dag then dag' else gid in
           let my_inc = old_head = p in
-          let join off =
-            let h = c.(off + 6) in
-            if h >= 0 then begin
-              parent' := c.(off);
-              head' := h
-            end
-          in
           (* strongest 1-hop key; ties keep the lowest neighbor *)
           let best_q = ref (-1) and best_off = ref 0 in
           let bl = ref 0 and bn = ref 0 and bid = ref 0 and binc = ref false in
@@ -1188,14 +1044,14 @@ struct
           let locally_maximal =
             cmp_keys tie !bl !bn !bid !binc dl' dn' my_eff my_inc < 0
           in
-          if not locally_maximal then join !best_off
+          if not locally_maximal then join_off := !best_off
           else if not algo.Config.fusion then begin
             parent' := p;
             head' := p
           end
           else begin
             (* strongest dominating 2-hop head from the far plane *)
-            let f = b.far.(p) in
+            let f = fcom in
             let dv = ref (-1) in
             let kl = ref 0 and kn = ref 0 and kid = ref 0 in
             for i = 0 to new_far_cnt - 1 do
@@ -1251,9 +1107,16 @@ struct
                 end;
                 pos := !pos + 8 + nlen
               done;
-              if !bq >= 0 then join !boff
+              if !bq >= 0 then join_off := !boff
             end
           end
+        end
+      end;
+      if !join_off >= 0 then begin
+        let h = c.(!join_off + 6) in
+        if h >= 0 then begin
+          parent' := c.(!join_off);
+          head' := h
         end
       end;
       let changed =
@@ -1269,14 +1132,7 @@ struct
       b.dens_n.(p) <- dn';
       b.parent.(p) <- !parent';
       b.head.(p) <- !head';
-      (* Calm iff this step changed nothing and consumed no randomness:
-         a later step with bit-identical inputs may then skip the whole
-         recomputation above (a re-draw alone would break draw-for-draw
-         parity with the typed executor, hence the [drew] condition). *)
-      Bytes.unsafe_set b.calm p (if changed || !drew then '\000' else '\001');
-      Bytes.unsafe_set b.quiet_emit p '\000';
       changed
-      end
   end
 end
 

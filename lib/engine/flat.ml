@@ -60,6 +60,8 @@ module Make (P : Protocol.FLAT) = struct
         warm = (fun p -> P.Flat.warm buffers p);
       }
     in
+    (* Alive-status mask shared with the core; each applied Crash, Join,
+       Sleep or Wake below updates its node's entry. *)
     let live = Array.make n true in
     let core = Flat_core.create ?pool ~ops ~scratches ~live graph in
     (* Establish the emission planes (the flat last_msg) before round 1;
@@ -99,7 +101,6 @@ module Make (P : Protocol.FLAT) = struct
       && !round < max_rounds
     do
       incr round;
-      P.Flat.tick buffers;
       (* Motion first, as in Engine.run: rebase the dynamic base, patch
          the flipped endpoints' potential rows in the core, and disturb
          the frontier accordingly. *)
@@ -141,12 +142,14 @@ module Make (P : Protocol.FLAT) = struct
                   match ev with
                   | Churn.Crash p ->
                       if Dynamic.crash dyn p then begin
+                        live.(p) <- false;
                         mark_with_nbrs p;
                         true
                       end
                       else false
                   | Churn.Join p ->
                       if Dynamic.join dyn p then begin
+                        live.(p) <- true;
                         P.Flat.pack buffers p
                           (P.init rng (Dynamic.base dyn) p);
                         ignore (P.Flat.refresh_emit buffers scratches.(0) p);
@@ -156,12 +159,14 @@ module Make (P : Protocol.FLAT) = struct
                       else false
                   | Churn.Sleep p ->
                       if Dynamic.sleep dyn p then begin
+                        live.(p) <- false;
                         mark_with_nbrs p;
                         true
                       end
                       else false
                   | Churn.Wake p ->
                       if Dynamic.wake dyn p then begin
+                        live.(p) <- true;
                         mark_with_nbrs p;
                         true
                       end
@@ -208,10 +213,6 @@ module Make (P : Protocol.FLAT) = struct
               0
               (Churn.events_at plan ~round:!round dyn rng)
       in
-      if applied > 0 then
-        for p = 0 to n - 1 do
-          live.(p) <- Dynamic.status dyn p = Dynamic.Alive
-        done;
       let corrupted = List.rev !churn_corrupted in
       if applied > 0 then event_rounds := (!round, applied) :: !event_rounds;
       if corrupted <> [] then

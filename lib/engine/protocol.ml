@@ -67,8 +67,6 @@ module type FLAT = sig
 
     val refresh_emit : buffers -> scratch -> int -> bool
 
-    val tick : buffers -> unit
-
     val step :
       buffers ->
       scratch ->

@@ -154,14 +154,6 @@ module type FLAT = sig
     (** Recompute node [p]'s emission plane from its state planes;
         [true] iff the emitted frame changed. *)
 
-    val tick : buffers -> unit
-    (** Advance the buffers' round counter. Executors call it exactly
-        once per round, before the state phase. Protocols may use it to
-        version internal memoization (e.g. detecting that a neighbor's
-        emission is unchanged since a cache was built); correctness must
-        not depend on it — a protocol that never ticks just runs without
-        the shortcuts. *)
-
     val step :
       buffers ->
       scratch ->

@@ -514,7 +514,7 @@ let test_reuse_rebase_alloc () =
 (* ------------------------------------------------ (f): view contract *)
 
 (* A bare synchronous driver over the plane, as the executor runs it:
-   tick, step every node on its sorted neighbors, refresh every
+   step every node on its sorted neighbors, refresh every
    emission. The planes it leaves are the in-place evolved rows the
    workload hook sees, spare capacity and all. *)
 module Drive (P : Ss_engine.Protocol.FLAT) = struct
@@ -532,7 +532,6 @@ module Drive (P : Ss_engine.Protocol.FLAT) = struct
   let rounds b sc g ~first ~count =
     let n = Graph.node_count g in
     for r = first to first + count - 1 do
-      P.Flat.tick b;
       let key = Rng.key ~seed:r in
       for p = 0 to n - 1 do
         let senders = Graph.neighbors g p in
@@ -734,6 +733,67 @@ let test_view_read_alloc () =
     (Printf.sprintf "a view read is O(1) words (%.2f)" w_lo)
     true (w_lo <= 8.0)
 
+(* A converged plane's step allocates nothing: every merge in
+   [Flat.step] is a plain loop over local refs, so no ref is boxed and
+   no helper closure is allocated. Words per step over a few more rounds
+   of every node stepping and refreshing, the round keys made beforehand
+   and the counter's own cost subtracted; both the basic and the
+   DAG-named config, at mean degree ~3 and ~30. *)
+let step_words ~params ~radius =
+  let module P = Distributed.Make (struct
+    let params = params
+  end) in
+  let module D = Drive (P) in
+  let rng = Rng.create ~seed:33 in
+  let n = 300 in
+  let g = random_world rng ~n ~radius in
+  let b, sc = D.start rng g in
+  D.rounds b sc g ~first:1 ~count:40;
+  let rounds = 4 in
+  let keys = Array.init rounds (fun r -> Rng.key ~seed:(41 + r)) in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = words ignore in
+  let w =
+    words (fun () ->
+        for r = 0 to rounds - 1 do
+          for p = 0 to n - 1 do
+            let senders = Graph.neighbors g p in
+            ignore
+              (P.Flat.step b sc keys.(r) p ~senders
+                 ~count:(Array.length senders))
+          done;
+          for p = 0 to n - 1 do
+            D.refresh b sc p
+          done
+        done)
+  in
+  let degree = 2.0 *. float_of_int (Graph.edge_count g) /. float_of_int n in
+  (degree, (w -. overhead) /. float_of_int (rounds * n))
+
+let test_step_alloc () =
+  List.iter
+    (fun (name, params) ->
+      let d_lo, w_lo = step_words ~params ~radius:0.06 in
+      let d_hi, w_hi = step_words ~params ~radius:0.2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: degrees differ (%.1f vs %.1f)" name d_lo d_hi)
+        true (d_hi > 4.0 *. d_lo);
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: words per step at degree %.1f" name d_lo)
+        0.0 w_lo;
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: words per step at degree %.1f" name d_hi)
+        0.0 w_hi)
+    [
+      ("basic", Distributed.default_params);
+      ( "improved+dag",
+        { Distributed.default_params with algo = Config.improved_with_dag } );
+    ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_flat_equals_dense; prop_flat_equals_dense_motion; prop_view_contract ]
@@ -753,4 +813,6 @@ let suite =
   @ [
       Alcotest.test_case "a flat view read allocates O(1) words" `Quick
         test_view_read_alloc;
+      Alcotest.test_case "a converged flat step allocates nothing" `Quick
+        test_step_alloc;
     ]
