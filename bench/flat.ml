@@ -1,22 +1,23 @@
-(* Flat-executor benchmark: the struct-of-arrays round loop against the
-   typed sparse executor on geometric deployments under churn, plus a
-   million-node flat-only run — the scale the typed representation cannot
-   reach comfortably (per-round list/record traffic) and the flat planes
-   hold without a single per-round allocation.
+(* Flat-executor benchmark: the struct-of-arrays round loop on geometric
+   deployments under churn, from 100k nodes up to a million-node run —
+   the scale the typed representation cannot reach comfortably
+   (per-round list/record traffic) and the flat planes hold without a
+   single per-round allocation.
 
    Timing methodology: every timed run happens in its own fresh process
    (the bench re-execs itself with [--one]) and reports CPU seconds
    (Sys.time).  In-process back-to-back timing is unusable at this
-   scale: whichever executor runs second pays major-GC costs
+   scale: whichever run comes second pays major-GC costs
    proportional to the first's live result, and OCaml 5.1's
    Gc.compact does not return freed pages, so the pollution is
    one-way and unbounded.  A fresh process per measurement is the only
    arrangement where the number measures the executor.
 
-   Before any timing is reported the executors are cross-checked: same
-   round count, same per-round changed-node history, same burst/recovery
-   attribution, same final states modulo [equal_state], and the flat run
-   must be bit-identical at 1 and 2 domains. A divergence exits non-zero.
+   Before any timing is reported the flat executor is cross-checked
+   against the dense reference walk: same round count, same per-round
+   changed-node history, same burst/recovery attribution, same final
+   states modulo [equal_state], and the flat run must be bit-identical at
+   1 and 2 domains. A divergence exits non-zero.
 
    One rep is one process; a point takes the minimum over its reps —
    on a busy shared box CPU-time noise is strictly additive (cache and
@@ -25,7 +26,7 @@
 
      dune exec bench/flat.exe            # scaling sweep + 1M flat,
                                          # writes BENCH_flat.json
-     dune exec bench/flat.exe -- --smoke # small 3-way identity for CI
+     dune exec bench/flat.exe -- --smoke # dense/flat identity for CI
      dune exec bench/flat.exe -- --one EXEC [--count N] [--bursts N]
                                          # internal: one timed run in a
                                          # pristine process *)
@@ -67,8 +68,8 @@ let plan ~bursts ~spacing ~first n =
 (* Warm-start states minted through the flat planes: [init_all] computes
    the namespace size once, where n typed [init] calls would recompute it
    per node — the difference between seconds and hours at 100k+. Both
-   executors get the same array (and fresh same-seeded generators), so
-   the comparison stays draw-for-draw. *)
+   executors of the identity pass get the same array (and fresh
+   same-seeded generators), so the comparison stays draw-for-draw. *)
 let warm_states graph =
   let rng = Rng.create ~seed:(seed + 2) in
   let b = P.Flat.alloc graph in
@@ -84,10 +85,9 @@ let workload ~count ~bursts =
   let churn = plan ~bursts ~spacing:30 ~first:60 (Graph.node_count graph) in
   (graph, radius, churn)
 
-let run_sparse ?states ~churn graph =
-  E.run
-    ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-    ~quiet_rounds ~max_rounds:20_000 ~churn ?states (Rng.create ~seed) graph
+let run_dense ?states ~churn graph =
+  E.run ~quiet_rounds ~max_rounds:20_000 ~churn ?states (Rng.create ~seed)
+    graph
 
 let run_flat ?states ?(domains = 1) ~churn graph =
   F.run ~quiet_rounds ~max_rounds:20_000 ~churn ~domains ?states
@@ -140,15 +140,10 @@ let smoke () =
   let n = Graph.node_count graph in
   let churn = plan ~bursts:3 ~spacing:20 ~first:30 n in
   Fmt.pr "smoke: %d nodes, %d edges@." n (Graph.edge_count graph);
-  let dense =
-    E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:20_000 ~churn
-      (Rng.create ~seed) graph
-  in
-  let sparse = run_sparse ~churn graph in
+  let dense = run_dense ~churn graph in
   let f1 = run_flat ~churn graph and f2 = run_flat ~domains:2 ~churn graph in
   let ok =
     typed_vs_flat "smoke dense/flat" dense f1
-    && typed_vs_flat "smoke sparse/flat" sparse f1
     && flat_vs_flat "smoke 1-vs-2-domain" f1 f2
   in
   (* A lossy pass: the deliver-diff replay path, bounded rounds (a lossy
@@ -157,8 +152,7 @@ let smoke () =
   let graph = Builders.random_geometric_count rng ~count:300 ~radius:0.1 in
   let channel = Channel.bernoulli 0.7 in
   let dense =
-    E.run ~mode:E.Dense ~channel ~quiet_rounds ~max_rounds:60
-      (Rng.create ~seed) graph
+    E.run ~channel ~quiet_rounds ~max_rounds:60 (Rng.create ~seed) graph
   in
   let flat domains =
     F.run ~channel ~quiet_rounds ~max_rounds:60 ~domains (Rng.create ~seed)
@@ -175,32 +169,23 @@ let smoke () =
 
 (* --------------------------------------------- one timed child run *)
 
-(* Runs a single executor once and prints one machine-readable line;
+(* Runs the flat executor once and prints one machine-readable line;
    the parent spawns one child per measurement so every number comes
-   from a pristine heap. [flat-1m] runs cold (no warm array): holding
-   n typed records live through a flat run just to warm-start it
-   charges the flat executor for the typed representation's heap. *)
+   from a pristine heap. [flat] warm-starts from [warm_states]; [flat-cold]
+   and [flat-1m] run cold (no warm array): holding n typed records live
+   through a flat run just to warm-start it charges the flat executor for
+   the typed representation's heap. *)
 let one exec ~count ~bursts =
   let graph, _, churn = workload ~count ~bursts in
   let states =
     match exec with
-    | "sparse" | "flat" -> Some (warm_states graph)
-    | _ -> None
+    | "flat" -> Some (warm_states graph)
+    | "flat-cold" | "flat-1m" -> None
+    | _ -> invalid_arg ("flat bench: unknown run " ^ exec)
   in
   let t0 = Sys.time () in
-  let rounds, converged =
-    match exec with
-    | "sparse" ->
-        let r = run_sparse ?states ~churn graph in
-        (r.E.rounds, r.E.converged)
-    | "flat" ->
-        let r = run_flat ?states ~churn graph in
-        (r.F.rounds, r.F.converged)
-    | "flat-cold" | "flat-1m" ->
-        let r = run_flat ~churn graph in
-        (r.F.rounds, r.F.converged)
-    | _ -> invalid_arg ("flat bench: unknown executor " ^ exec)
-  in
+  let r = run_flat ?states ~churn graph in
+  let rounds, converged = (r.F.rounds, r.F.converged) in
   Printf.printf "RESULT %s cpu=%.4f rounds=%d converged=%b\n%!" exec
     (Sys.time () -. t0) rounds converged
 
@@ -252,46 +237,28 @@ type point = {
   radius : float;
   bursts : int;
   rounds : int;
-  sparse_seconds : float;
   flat_seconds : float;
-  speedup : float;
-  identical : bool option; (* None = identity checked at another scale *)
 }
 
-let scale_point ~count ~bursts ~reps ~identity =
-  let graph, radius, churn = workload ~count ~bursts in
+let scale_point ~count ~bursts ~reps =
+  let graph, radius, _ = workload ~count ~bursts in
   let n = Graph.node_count graph in
   Fmt.pr "%dk: %d nodes, %d edges, %d single-node bursts@." (count / 1000) n
     (Graph.edge_count graph) bursts;
   let flat_t, rounds = child_min "flat" ~count ~bursts ~reps in
-  let sparse_t, _ = child_min "sparse" ~count ~bursts ~reps in
-  (* The identity pass is untimed — here both results must coexist. *)
-  let identical =
-    if not identity then None
-    else begin
-      let states = warm_states graph in
-      let sparse = run_sparse ~states ~churn graph in
-      let flat = run_flat ~states ~churn graph in
-      Some
-        (typed_vs_flat (Printf.sprintf "%d sparse/flat" count) sparse flat)
-    end
-  in
-  let speedup = sparse_t /. flat_t in
-  Fmt.pr "  sparse: %.3fs  flat: %.3fs  speedup: %.2fx  rounds: %d%s@."
-    sparse_t flat_t speedup rounds
-    (match identical with
-    | None -> ""
-    | Some ok -> Printf.sprintf "  identical: %b" ok);
-  {
-    nodes = n;
-    radius;
-    bursts;
-    rounds;
-    sparse_seconds = sparse_t;
-    flat_seconds = flat_t;
-    speedup;
-    identical;
-  }
+  Fmt.pr "  flat: %.3fs  rounds: %d@." flat_t rounds;
+  { nodes = n; radius; bursts; rounds; flat_seconds = flat_t }
+
+(* The untimed identity pass, on the sweep's workload at a size the dense
+   walk (every node, every round) finishes in minutes, not hours. *)
+let identity ~count ~bursts =
+  let graph, _, churn = workload ~count ~bursts in
+  let states = warm_states graph in
+  let dense = run_dense ~states ~churn graph in
+  let flat = run_flat ~states ~churn graph in
+  let ok = typed_vs_flat (Printf.sprintf "%d dense/flat" count) dense flat in
+  Fmt.pr "%dk identity (dense/flat): %b@." (count / 1000) ok;
+  ok
 
 let million () =
   let count = 1_000_000 in
@@ -316,15 +283,9 @@ let json points (mn, medges, mradius, mrun_t, mrounds, mconverged) =
       \      \"radius\": %.5f,\n\
       \      \"bursts\": %d,\n\
       \      \"rounds\": %d,\n\
-      \      \"sparse_seconds\": %.4f,\n\
-      \      \"flat_seconds\": %.4f,\n\
-      \      \"speedup\": %.2f%s\n\
+      \      \"flat_seconds\": %.4f\n\
       \    }"
-      p.nodes p.radius p.bursts p.rounds p.sparse_seconds p.flat_seconds
-      p.speedup
-      (match p.identical with
-      | None -> ""
-      | Some ok -> Printf.sprintf ",\n      \"identical\": %b" ok)
+      p.nodes p.radius p.bursts p.rounds p.flat_seconds
   in
   Printf.sprintf
     "{\n\
@@ -378,27 +339,22 @@ let () =
         end
       end
       else begin
-        (* The sweep: identity is verified in-process at 100k (where both
-           results fit comfortably); the larger points are timing-only —
-           the executors' agreement is scale-independent (no size
-           thresholds anywhere in either path) and separately enforced by
-           the QCheck battery. *)
-        let p100 = scale_point ~count:100_000 ~bursts:8 ~reps:2 ~identity:true in
-        let p300 = scale_point ~count:300_000 ~bursts:4 ~reps:2 ~identity:false in
-        let p1m = scale_point ~count:1_000_000 ~bursts:4 ~reps:1 ~identity:false in
+        (* The sweep: identity is verified in-process at 10k first; the
+           timed points are flat-only — the executors' agreement is
+           scale-independent (no size thresholds anywhere in either path)
+           and separately enforced by the QCheck battery. *)
+        let identical = identity ~count:10_000 ~bursts:8 in
+        let p100 = scale_point ~count:100_000 ~bursts:8 ~reps:2 in
+        let p300 = scale_point ~count:300_000 ~bursts:4 ~reps:2 in
+        let p1m = scale_point ~count:1_000_000 ~bursts:4 ~reps:1 in
         let points = [ p100; p300; p1m ] in
         let m = million () in
         let oc = open_out "BENCH_flat.json" in
         output_string oc (json points m);
         close_out oc;
         Fmt.pr "wrote BENCH_flat.json@.";
-        let identical =
-          List.for_all
-            (fun p -> match p.identical with None -> true | Some ok -> ok)
-            points
-        in
         if not identical then begin
-          Fmt.epr "ERROR: flat run diverged from the sparse reference@.";
+          Fmt.epr "ERROR: flat run diverged from the dense reference@.";
           exit 1
         end
       end

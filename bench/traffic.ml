@@ -10,10 +10,10 @@
    delivery-ratio curve to BENCH_traffic.json.
 
    --smoke is the CI gate: a 1.5k-node burst run executed three ways —
-   typed sparse, flat x 1 domain, flat x 2 domains — all three required
-   bit-identical on every workload observable (Workload.equal) and on
-   the protocol states, and the delivery ratio required to recover to
-   >= 0.95 of its pre-burst value after the burst. Exits non-zero on
+   the dense reference walk, flat x 1 domain, flat x 2 domains — all three
+   required bit-identical on every workload observable (Workload.equal)
+   and on the protocol states, and the delivery ratio required to recover
+   to >= 0.95 of its pre-burst value after the burst. Exits non-zero on
    divergence or failed recovery.
 
      dune exec bench/traffic.exe            # full 10k run, writes JSON
@@ -81,10 +81,10 @@ let smoke =
     capacity = 600.0;
   }
 
-type executor = Sparse | Flat of int
+type executor = Dense | Flat of int
 
 let executor_label = function
-  | Sparse -> "sparse"
+  | Dense -> "dense"
   | Flat d -> Printf.sprintf "flat x%d domains" d
 
 (* One run: same stream, same workload key derivation, any executor.
@@ -124,11 +124,9 @@ let run_one c executor =
   let t0 = Unix.gettimeofday () in
   let states, alive, rounds =
     match executor with
-    | Sparse ->
+    | Dense ->
         let r =
-          E.run
-            ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-            ~quiet_rounds ~max_rounds ~churn ~workload:(W.typed_hook w) rng
+          E.run ~quiet_rounds ~max_rounds ~churn ~workload:(W.typed_hook w) rng
             graph
         in
         (r.E.states, r.E.alive, r.E.rounds)
@@ -261,24 +259,23 @@ let run_smoke () =
   let c = smoke in
   Printf.printf "traffic --smoke: %d nodes, rate %.0f, burst %.0f%% @%d\n%!"
     c.count c.rate (100.0 *. c.fraction) c.burst_round;
-  let rs = run_one c Sparse in
-  let (ws, _, _, _, dts) = rs in
-  Printf.printf "%s: %.2fs\n%!" (executor_label Sparse) dts;
-  ignore (report c ws);
+  let rd = run_one c Dense in
+  let (wd, _, _, _, dtd) = rd in
+  Printf.printf "%s: %.2fs\n%!" (executor_label Dense) dtd;
   let rf1 = run_one c (Flat 1) in
   let (_, _, _, _, dt1) = rf1 in
   Printf.printf "%s: %.2fs\n%!" (executor_label (Flat 1)) dt1;
   let rf2 = run_one c (Flat 2) in
   let (_, _, _, _, dt2) = rf2 in
   Printf.printf "%s: %.2fs\n%!" (executor_label (Flat 2)) dt2;
-  let ok_sf = check_identical "sparse == flat x1" rs rf1 in
+  let ok_df = check_identical "dense == flat x1" rd rf1 in
   let ok_dd = check_identical "flat x1 == flat x2" rf1 rf2 in
-  let _, pre, dip, rec_at = report c ws in
+  let _, pre, dip, rec_at = report c wd in
   let ok_rec = recovery_ok pre dip rec_at in
   if not ok_rec then
     Printf.printf "  RECOVERY FAILED: ratio never regained 95%% of %.3f\n%!"
       pre;
-  if ok_sf && ok_dd && ok_rec then begin
+  if ok_df && ok_dd && ok_rec then begin
     Printf.printf "traffic smoke: OK\n%!";
     exit 0
   end

@@ -22,6 +22,21 @@ let positive_int =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+(* Finite floats restricted to the range [ok] accepts, rejected the same
+   way: a usage error naming the option, not an exception from a sweep. *)
+let checked_float ~docv ~expected ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && ok x -> Ok x
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv ~docv (parse, Arg.conv_printer Arg.float)
+
+let positive_float =
+  checked_float ~docv:"LAMBDA" ~expected:"a positive number" (fun x ->
+      x > 0.0)
+
 let runs_arg default =
   let doc = "Number of independent runs to average over (at least 1)." in
   Arg.(value & opt positive_int default & info [ "runs" ] ~docv:"RUNS" ~doc)
@@ -37,20 +52,13 @@ let jobs_arg =
 
 let intensity_arg =
   let doc = "Poisson intensity (expected node count in the unit square)." in
-  Arg.(value & opt float 1000.0 & info [ "intensity" ] ~docv:"LAMBDA" ~doc)
+  Arg.(
+    value & opt positive_float 1000.0
+    & info [ "intensity" ] ~docv:"LAMBDA" ~doc)
 
 let csv_arg =
   let doc = "Emit CSV instead of a boxed table." in
   Arg.(value & flag & info [ "csv" ] ~doc)
-
-let sparse_arg =
-  let doc =
-    "Use the engine's sparse dirty-set executor instead of the dense round \
-     walk. Output is bit-identical (the sparse differential test battery is \
-     the contract); per-round cost becomes proportional to the perturbed \
-     region instead of the network."
-  in
-  Arg.(value & flag & info [ "sparse" ] ~doc)
 
 let cell_arg =
   let doc =
@@ -277,18 +285,20 @@ let churn_cmd =
       "Poisson intensity of the deployment (expected node count in the unit \
        square)."
     in
-    Arg.(value & opt float 300.0 & info [ "intensity" ] ~docv:"LAMBDA" ~doc)
+    Arg.(
+      value & opt positive_float 300.0
+      & info [ "intensity" ] ~docv:"LAMBDA" ~doc)
   in
-  let run seed runs jobs sparse intensity csv =
+  let run seed runs jobs intensity csv =
     let spec = E.Scenario.poisson ~intensity ~radius:0.1 () in
-    let rows = E.Exp_churn.run ~seed ~runs ~domains:jobs ~sparse ~spec () in
+    let rows = E.Exp_churn.run ~seed ~runs ~domains:jobs ~spec () in
     output ~csv (E.Exp_churn.to_table rows);
     output ~csv (E.Exp_churn.events_table rows)
   in
   Cmd.v (Cmd.info "churn" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ sparse_arg
-      $ churn_intensity_arg $ csv_arg)
+      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ churn_intensity_arg
+      $ csv_arg)
 
 let motion_cmd =
   let doc =
@@ -303,25 +313,37 @@ let motion_cmd =
       "Poisson intensity of the deployment (expected node count in the unit \
        square)."
     in
-    Arg.(value & opt float 300.0 & info [ "intensity" ] ~docv:"LAMBDA" ~doc)
+    Arg.(
+      value & opt positive_float 300.0
+      & info [ "intensity" ] ~docv:"LAMBDA" ~doc)
   in
   let rounds_arg =
     let doc =
-      "Round budget; every regime executes exactly this many rounds so the \
-       per-round metrics share a denominator."
+      "Round budget (at least 1); every regime executes exactly this many \
+       rounds so the per-round metrics share a denominator."
     in
-    Arg.(value & opt int 200 & info [ "rounds" ] ~docv:"ROUNDS" ~doc)
+    Arg.(value & opt positive_int 200 & info [ "rounds" ] ~docv:"ROUNDS" ~doc)
   in
   let dt_arg =
-    let doc = "Simulated seconds the fleet advances per engine round." in
-    Arg.(value & opt float 1.0 & info [ "dt" ] ~docv:"SECONDS" ~doc)
+    let doc =
+      "Simulated seconds (at least 0) the fleet advances per engine round."
+    in
+    let non_negative =
+      checked_float ~docv:"SECONDS" ~expected:"a non-negative number"
+        (fun x -> x >= 0.0)
+    in
+    Arg.(value & opt non_negative 1.0 & info [ "dt" ] ~docv:"SECONDS" ~doc)
   in
   let tau_arg =
     let doc =
-      "Per-frame delivery probability (Bernoulli channel); 1.0 is the \
-       perfect channel."
+      "Per-frame delivery probability in [0, 1] (Bernoulli channel); 1.0 is \
+       the perfect channel."
     in
-    Arg.(value & opt float 1.0 & info [ "tau" ] ~docv:"TAU" ~doc)
+    let probability =
+      checked_float ~docv:"TAU" ~expected:"a probability in [0, 1]" (fun x ->
+          x >= 0.0 && x <= 1.0)
+    in
+    Arg.(value & opt probability 1.0 & info [ "tau" ] ~docv:"TAU" ~doc)
   in
   let churn_flag_arg =
     let doc =
@@ -331,7 +353,7 @@ let motion_cmd =
     in
     Arg.(value & flag & info [ "churn" ] ~doc)
   in
-  let run seed runs jobs sparse intensity rounds dt tau with_churn csv =
+  let run seed runs jobs intensity rounds dt tau with_churn csv =
     let spec = E.Scenario.poisson ~intensity ~radius:0.1 () in
     let channel = Ss_radio.Channel.bernoulli tau in
     let churn =
@@ -347,21 +369,21 @@ let motion_cmd =
     in
     output ~csv
       (E.Exp_motion.to_table
-         (E.Exp_motion.run ~seed ~runs ~domains:jobs ~sparse ~spec ~channel
-            ?churn ~dt ~rounds ()))
+         (E.Exp_motion.run ~seed ~runs ~domains:jobs ~spec ~channel ?churn ~dt
+            ~rounds ()))
   in
   Cmd.v (Cmd.info "motion" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ sparse_arg
-      $ motion_intensity_arg $ rounds_arg $ dt_arg $ tau_arg $ churn_flag_arg
+      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ motion_intensity_arg
+      $ rounds_arg $ dt_arg $ tau_arg $ churn_flag_arg
       $ csv_arg)
 
 let flat_cmd =
   let doc =
     "Extension: the flat-memory executor at scale — unit-disk deployments \
      at constant expected degree run through the struct-of-arrays round \
-     loop under a crash/rejoin burst schedule; at small sizes the typed \
-     sparse executor cross-checks every observable. Exits non-zero on \
+     loop under a crash/rejoin burst schedule; at small sizes the dense \
+     reference walk cross-checks every observable. Exits non-zero on \
      divergence."
   in
   let smoke_arg =
@@ -376,7 +398,7 @@ let flat_cmd =
     let rows = E.Exp_flat.run ~seed ~sizes ~check_upto () in
     output ~csv (E.Exp_flat.to_table rows);
     if not (E.Exp_flat.verified rows) then begin
-      Fmt.epr "ERROR: flat executor diverged from the sparse reference@.";
+      Fmt.epr "ERROR: flat executor diverged from the dense reference@.";
       exit 1
     end
   in
@@ -406,7 +428,7 @@ let campaign_cmd =
     in
     Arg.(value & flag & info [ "strict" ] ~doc)
   in
-  let run seed runs jobs sparse smoke strict cell run_index csv =
+  let run seed runs jobs smoke strict cell run_index csv =
     let grid, spec, runs, max_rounds =
       if smoke then
         ( E.Exp_campaign.smoke_grid,
@@ -418,8 +440,7 @@ let campaign_cmd =
     (match replay_request ~cmd:"campaign" cell run_index with
     | Some (cell, run) ->
         let c, verdict =
-          E.Exp_campaign.replay ~seed ~sparse ~spec ~grid ~max_rounds ~cell
-            ~run ()
+          E.Exp_campaign.replay ~seed ~spec ~grid ~max_rounds ~cell ~run ()
         in
         report_replay
           ~label:
@@ -430,13 +451,11 @@ let campaign_cmd =
         exit 0
     | None -> ());
     let rows =
-      E.Exp_campaign.run ~seed ~runs ~domains:jobs ~sparse ~spec ~grid
-        ~max_rounds ()
+      E.Exp_campaign.run ~seed ~runs ~domains:jobs ~spec ~grid ~max_rounds ()
     in
     let replay_prefix =
-      Printf.sprintf "repro campaign --seed %d%s%s" seed
+      Printf.sprintf "repro campaign --seed %d%s" seed
         (if smoke then " --smoke" else "")
-        (if sparse then " --sparse" else "")
     in
     output ~csv (E.Exp_campaign.to_table ~replay_prefix rows);
     if not csv then begin
@@ -474,8 +493,8 @@ let campaign_cmd =
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 4 $ jobs_arg $ sparse_arg $ smoke_arg
-      $ strict_arg $ cell_arg $ run_index_arg $ csv_arg)
+      const run $ seed_arg $ runs_arg 4 $ jobs_arg $ smoke_arg $ strict_arg
+      $ cell_arg $ run_index_arg $ csv_arg)
 
 let adversary_cmd =
   let doc =
@@ -491,7 +510,7 @@ let adversary_cmd =
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
-  let run seed runs jobs sparse smoke cell run_index csv =
+  let run seed runs jobs smoke cell run_index csv =
     let spec, behaviors, counts, channels, runs, max_rounds =
       if smoke then
         ( E.Scenario.uniform ~count:30 ~radius:0.2 (),
@@ -511,8 +530,8 @@ let adversary_cmd =
     (match replay_request ~cmd:"adversary" cell run_index with
     | Some (cell, run) ->
         let (behavior, count, channel), verdict =
-          E.Exp_adversary.replay ~seed ~sparse ~spec ~behaviors ~counts
-            ~channels ~max_rounds ~cell ~run ()
+          E.Exp_adversary.replay ~seed ~spec ~behaviors ~counts ~channels
+            ~max_rounds ~cell ~run ()
         in
         report_replay
           ~label:
@@ -523,13 +542,12 @@ let adversary_cmd =
         exit 0
     | None -> ());
     let rows =
-      E.Exp_adversary.run ~seed ~runs ~domains:jobs ~sparse ~spec ~behaviors
-        ~counts ~channels ~max_rounds ()
+      E.Exp_adversary.run ~seed ~runs ~domains:jobs ~spec ~behaviors ~counts
+        ~channels ~max_rounds ()
     in
     let replay_prefix =
-      Printf.sprintf "repro adversary --seed %d%s%s" seed
+      Printf.sprintf "repro adversary --seed %d%s" seed
         (if smoke then " --smoke" else "")
-        (if sparse then " --sparse" else "")
     in
     output ~csv (E.Exp_adversary.to_table ~replay_prefix rows);
     if not csv then
@@ -545,36 +563,18 @@ let adversary_cmd =
   in
   Cmd.v (Cmd.info "adversary" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ sparse_arg $ smoke_arg
-      $ cell_arg $ run_index_arg $ csv_arg)
+      const run $ seed_arg $ runs_arg 5 $ jobs_arg $ smoke_arg $ cell_arg
+      $ run_index_arg $ csv_arg)
 
 let traffic_cmd =
   let doc =
     "Robustness: the data-plane workload routed over the believed cluster \
      hierarchy while it stabilizes — delivery ratio, latency and retries \
      across load x channel x crash-burst cells, with energy drain feeding \
-     depleted nodes back into churn. Always ends with the sparse-vs-flat \
-     replay of the heavy/lossy/burst cell and exits non-zero if the \
-     executors disagree on any observable or the delivery ratio never \
-     recovers to 95% of its pre-burst level."
-  in
-  let executor_arg =
-    let doc =
-      "Executor for the sweep: $(b,dense), $(b,sparse) or $(b,flat). The \
-       verification replay always runs sparse and flat regardless."
-    in
-    let e =
-      Arg.enum
-        [
-          ("dense", E.Exp_traffic.Dense);
-          ("sparse", E.Exp_traffic.Sparse);
-          ("flat", E.Exp_traffic.Flat);
-        ]
-    in
-    Arg.(
-      value
-      & opt e E.Exp_traffic.Sparse
-      & info [ "executor" ] ~docv:"EXECUTOR" ~doc)
+     depleted nodes back into churn. The sweep runs on the flat executor \
+     and always ends with the dense-vs-flat replay of the heavy/lossy/burst \
+     cell; exits non-zero if the executors disagree on any observable or \
+     the delivery ratio never recovers to 95% of its pre-burst level."
   in
   let rounds_arg =
     let doc = "Last round with message arrivals; runs extend by the TTL." in
@@ -584,15 +584,13 @@ let traffic_cmd =
     let doc = "Cohort width (rounds) for the dip-and-recovery series." in
     Arg.(value & opt int 20 & info [ "window" ] ~docv:"ROUNDS" ~doc)
   in
-  let run seed runs jobs executor rounds window csv =
-    let rows =
-      E.Exp_traffic.run ~seed ~runs ~domains:jobs ~executor ~rounds ~window ()
-    in
+  let run seed runs jobs rounds window csv =
+    let rows = E.Exp_traffic.run ~seed ~runs ~domains:jobs ~rounds ~window () in
     output ~csv (E.Exp_traffic.to_table rows);
     let v = E.Exp_traffic.verify ~seed ~rounds ~window () in
     if not csv then begin
       Fmt.pr
-        "verification (heavy load, lossy channel, crash burst): sparse vs \
+        "verification (heavy load, lossy channel, crash burst): dense vs \
          flat %s@."
         (if v.E.Exp_traffic.v_agree then "bit-identical" else "DIVERGED");
       if not v.E.Exp_traffic.v_agree then
@@ -609,7 +607,7 @@ let traffic_cmd =
     let recovered = Option.is_some v.E.Exp_traffic.v_recovered_at in
     if not (v.E.Exp_traffic.v_agree && recovered) then begin
       if not v.E.Exp_traffic.v_agree then
-        Fmt.epr "ERROR: sparse and flat executors diverged: %s@."
+        Fmt.epr "ERROR: dense and flat executors diverged: %s@."
           v.E.Exp_traffic.v_detail;
       if not recovered then
         Fmt.epr
@@ -620,8 +618,8 @@ let traffic_cmd =
   in
   Cmd.v (Cmd.info "traffic" ~doc)
     Term.(
-      const run $ seed_arg $ runs_arg 2 $ jobs_arg $ executor_arg $ rounds_arg
-      $ window_arg $ csv_arg)
+      const run $ seed_arg $ runs_arg 2 $ jobs_arg $ rounds_arg $ window_arg
+      $ csv_arg)
 
 let stabilization_cmd =
   let doc =

@@ -141,8 +141,8 @@ let write_far f far =
    scalars plus its cache and far rows. [Make.Flat.view] aliases the live
    rows of the plane; [view] lays a typed state out into fresh rows. The
    readers below never touch a heard stamp (offset 1 of both strides):
-   stamps are the one cache field whose dense and sparse evolution
-   differ, so routing on views is executor-independent (DESIGN §13). *)
+   stamps are the one cache field whose dense and flat evolution differ,
+   so routing on views is executor-independent (DESIGN §13). *)
 type view = {
   v_head : int;
   v_parent : int;
@@ -473,7 +473,7 @@ struct
 
      The layout's injective option encodings are what make [step]'s
      change report and [refresh_emit]'s frame comparison exact mirrors
-     of [equal_state] and the sparse executor's message compare. *)
+     of [equal_state] and of structural equality on [emit]'s frames. *)
   module Flat = struct
     type buffers = {
       n : int;
@@ -1136,18 +1136,6 @@ struct
   end
 end
 
-(* The engine's sparse-mode warm hook. A cache or far entry not refreshed
-   at the node's last executed step is aging toward its TTL: it will
-   expire — and change the node's density, election inputs and relayed
-   summaries — after ttl more steps even if no frame ever changes again.
-   The sparse executor must keep stepping such a node (dense execution
-   ticks its clock every round); once every entry is stamped at the
-   current clock, expiry can only be triggered by an input change, and the
-   node is safe to freeze. *)
-let pending_expiry st =
-  List.exists (fun (_, e) -> e.e_heard < st.clock) st.cache
-  || List.exists (fun (_, f) -> f.f_heard < st.clock) st.far
-
 (* Random state corruption for fault-injection experiments: scrambles every
    field a transient fault could damage, within type-correct bounds. *)
 let corrupt rng _node st =
@@ -1178,9 +1166,9 @@ let corrupt rng _node st =
 
 (* Forgery hook for the Byzantine adversary (Ss_engine.Adversary): rewrite
    every field the election orders on, keyed — a pure function of (key,
-   node, honest frame), so replay and the sparse executor see the same
-   lie. The sender index [m_node] stays truthful: the radio layer
-   authenticates which transceiver transmitted (receivers key their cache
+   node, honest frame), so a replay sees the same lie. The sender index
+   [m_node] stays truthful: the radio layer authenticates which
+   transceiver transmitted (receivers key their cache
    by the engine-supplied sender anyway), only the {e claims} inside the
    frame are forgeable. The forged density is implausibly attractive
    (many links over few nodes) and the node always claims to be its own
@@ -1251,6 +1239,24 @@ let ghost_references ~alive states =
         List.iter (fun (q, _) -> if ghost p q then incr count) st.cache
       end)
     states;
+  !count
+
+(* The same count read through routing views, for executors that hand out
+   views instead of typed states (the flat executor's workload hook). A view
+   encodes parent/head [None] as a negative index, which [view_parent] and
+   [view_head] decode, so the two counts agree on every plane. *)
+let view_ghost_references ~alive read =
+  let n = Array.length alive in
+  let ghost self q = q <> self && (q < 0 || q >= n || not alive.(q)) in
+  let count = ref 0 in
+  for p = 0 to n - 1 do
+    if alive.(p) then begin
+      let v = read p in
+      (match view_parent v with Some f when ghost p f -> incr count | _ -> ());
+      (match view_head v with Some h when ghost p h -> incr count | _ -> ());
+      iter_peers v (fun _ q -> if ghost p q then incr count)
+    end
+  done;
   !count
 
 (* Same predicate, but naming the believers instead of counting beliefs —

@@ -127,14 +127,6 @@ end) :
     [Flat.view] aliases a node's live cache and far rows plus its head
     and parent scalars: no copy, O(1) words. *)
 
-val pending_expiry : state -> bool
-(** The engine's sparse-mode warm hook: true while any cache or far entry
-    was not refreshed at the node's last executed step — it is aging
-    toward the TTL and will expire (changing density, election inputs and
-    relayed summaries) even if no frame ever changes again, so the sparse
-    executor must keep stepping the node until the pending expiries
-    drain. Pass as [Engine.Make(P).Sparse { warm = Some pending_expiry }]. *)
-
 val corrupt : Ss_prng.Rng.t -> int -> state -> state
 (** Scramble every corruptible field (names, density, head, parent, cached
     values) within type-correct bounds; the transient-fault model. *)
@@ -143,8 +135,8 @@ val forge : Ss_prng.Rng.key -> int -> message -> message
 (** Forgery hook for {!Ss_engine.Adversary.CONFIG}: rewrite every field
     the election orders on — an implausibly attractive density claim, a
     self-head claim, scrambled gid/DAG names, poisoned 2-hop summaries —
-    as a pure {e keyed} function of (key, node, honest frame), so replay
-    and the sparse executor see the same lie. The sender index is left
+    as a pure {e keyed} function of (key, node, honest frame), so a
+    replay sees the same lie. The sender index is left
     truthful: the radio layer authenticates which transceiver
     transmitted; only claims inside the frame are forgeable. *)
 
@@ -161,6 +153,13 @@ val ghost_references : alive:bool array -> state array -> int
     expiry plus re-election drain these after a churn burst; sampling the
     count per round (via the engine's [probe]) shows how long the network
     keeps believing ghosts. *)
+
+val view_ghost_references : alive:bool array -> (int -> view) -> int
+(** [view_ghost_references ~alive read] is {!ghost_references} read
+    through routing views, [read p] being node [p]'s view (the flat
+    executor's [?workload] hook hands out exactly this accessor): equal to
+    [ghost_references ~alive (Array.init n unpack)] on every flat plane,
+    where [n = Array.length alive]. Only alive nodes are read. *)
 
 val ghost_holders : alive:bool array -> state array -> int list
 (** The alive nodes holding at least one such dangling reference, sorted —

@@ -14,13 +14,9 @@
    Keying discipline: every adversarial choice made in-round (which lie,
    which oscillation phase) is a pure function of (adversary key, node,
    executed-step counter) through Rng.subkey lanes — never a sequential
-   draw. The step counter advances only when the engine actually steps
-   the node, and the wrapper's warm hook forces stepping exactly while an
-   emission can still depend on it (before activation, and forever for
-   Liar/Oscillator whose frames move each step), so sparse and dense
-   executions see bit-identical adversarial traffic. Mute and Stuck
-   emissions are constant after activation, which is what lets the
-   sparse executor put their neighborhoods to sleep.
+   draw — so a replay of the same run sees bit-identical adversarial
+   traffic. The step counter advances once per executed step of the
+   node.
 
    Activation: behaviors switch on at engine round [from_round]. A node's
    emission at round r reflects the state after r - 1 executed steps, so
@@ -214,25 +210,10 @@ struct
     in
     { inner; steps; role = st.role; base }
 
-  (* [steps] and [base] are bookkeeping whose observable effect is
-     declared through [warm]; [role] is static per node. Fixpoint
+  (* [steps] and [base] are bookkeeping; [role] is static per node. Fixpoint
      detection therefore sees exactly the wrapped protocol's notion of
      change. *)
   let equal_state a b = P.equal_state a.inner b.inner
-
-  (* The wrapper's own time-based behavior: before activation every
-     Byzantine node must keep stepping (its counter gates the switch-on),
-     and Liar/Oscillator emissions depend on the counter forever. Mute
-     and Stuck go emission-constant once active, so only the inner
-     protocol's warmth keeps them ticking. *)
-  let warm inner_warm st =
-    inner_warm st.inner
-    ||
-    match st.role with
-    | Honest -> false
-    | Byzantine b -> (
-        (not (active st))
-        || match b with Liar | Oscillator -> true | Mute | Stuck -> false)
 
   let lift_corrupt f rng p st = { st with inner = f rng p st.inner }
 end

@@ -15,10 +15,8 @@
     emits, which of its two frames an [Oscillator] shows — is a pure
     function of (adversary key, node, executed-step counter) via
     {!Ss_prng.Rng.subkey} lanes; no sequential draws. The counter
-    advances only on executed steps, and {!Wrap.warm} forces stepping
-    exactly while an emission can still depend on it, so sparse and dense
-    executions see bit-identical adversarial traffic
-    ([test/suite_adversary.ml] is the differential battery). *)
+    advances once per executed step, so a replay of a run sees
+    bit-identical adversarial traffic. *)
 
 type behavior =
   | Mute  (** broadcasts nothing: to neighbors, a permanently lossy link *)
@@ -90,9 +88,8 @@ end
     Frames become [P.message option]: [None] is a mute round and is
     dropped before [P.handle] ever sees it (to the wrapped protocol a
     silenced neighbor is indistinguishable from one whose frames the
-    channel lost). Satisfies the {!Protocol.S} step-input contract
-    whenever [P] does; run it sparsely with
-    [~mode:(Sparse { warm = Some (warm P_warm) })]. *)
+    channel lost). Satisfies the {!Protocol.S} purity contract whenever
+    [P] does. *)
 module Wrap (P : Protocol.S) (A : CONFIG with type message = P.message) : sig
   include
     Protocol.S
@@ -111,12 +108,6 @@ module Wrap (P : Protocol.S) (A : CONFIG with type message = P.message) : sig
   val project : state -> P.state
   (** The wrapped protocol's state — feed this to invariant checks so
       legitimacy is judged on honest semantics. *)
-
-  val warm : (P.state -> bool) -> state -> bool
-  (** [warm p_warm] is the wrapped warm hook: [p_warm] on the inner state,
-      plus the adversary's own clock (every Byzantine node before
-      activation; [Liar]/[Oscillator] forever, their emissions moving
-      each step — [Mute]/[Stuck] go emission-constant once active). *)
 
   val lift_corrupt :
     (Ss_prng.Rng.t -> int -> P.state -> P.state) ->

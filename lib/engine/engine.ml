@@ -64,10 +64,10 @@ let finalize_bursts ~event_rounds ~history ~rounds ~converged =
    per-node handle} streams. Every random decision of a round except churn
    and fault injection is a pure function of its lane, so executing a
    subset of the nodes cannot shift anyone else's draws — the property the
-   sparse executor's equivalence proof rests on. The main sequential
-   generator is reserved for the per-round plan evaluation (churn events,
-   fault hooks, Join re-inits, Corrupt scrambles), which both executors
-   perform identically. *)
+   flat executor's dirty frontier rests on to match this dense walk. The
+   main sequential generator is reserved for the per-round plan evaluation
+   (churn events, fault hooks, Join re-inits, Corrupt scrambles), which both
+   executors perform identically. *)
 let lane_channel rk = Rng.subkey rk 0
 let lane_perm rk = Rng.subkey rk 1
 let lane_handle rk = Rng.subkey rk 2
@@ -84,10 +84,6 @@ module Make (P : Protocol.S) = struct
     bursts : burst list;
     faults : fault_report list; (* rounds with corrupted nodes, oldest first *)
   }
-
-  type mode = Dense | Sparse of { warm : (P.state -> bool) option }
-
-  let sparse = Sparse { warm = None }
 
   (* Frames received by node p this step: one per neighbor, each surviving
      the round's channel plan. [read] supplies the state a neighbor
@@ -142,183 +138,6 @@ module Make (P : Protocol.S) = struct
         Array.iter (fun p -> update_node read p) order);
     !changed
 
-  (* ------------------------------------------------------- sparse mode *)
-
-  (* The dirty frontier. [cur] holds the nodes to step this round, [nxt]
-     accumulates next round's; bits back the worklists so marking is
-     idempotent and clearing costs O(|marked|). *)
-  type sparse_ctx = {
-    mutable cur : bool array;
-    mutable cur_list : int list;
-    mutable nxt : bool array;
-    mutable nxt_list : int list;
-    last_msg : P.message array; (* emission of each node's current state *)
-    shadow : P.state array;
-        (* synchronous daemon: pre-round states of the frontier only —
-           non-frontier nodes never mutate during the walk, so saving the
-           touched slots replaces the per-round O(n) snapshot copy *)
-    warm : P.state -> bool;
-  }
-
-  let mark_now ctx p =
-    if not ctx.cur.(p) then begin
-      ctx.cur.(p) <- true;
-      ctx.cur_list <- p :: ctx.cur_list
-    end
-
-  let mark_nxt ctx p =
-    if not ctx.nxt.(p) then begin
-      ctx.nxt.(p) <- true;
-      ctx.nxt_list <- p :: ctx.nxt_list
-    end
-
-  let advance_frontier ctx =
-    List.iter (fun p -> ctx.cur.(p) <- false) ctx.cur_list;
-    let spent = ctx.cur in
-    ctx.cur <- ctx.nxt;
-    ctx.cur_list <- ctx.nxt_list;
-    ctx.nxt <- spent;
-    ctx.nxt_list <- []
-
-  let make_ctx ~warm graph states =
-    let n = Array.length states in
-    {
-      (* Round 1 steps everyone: initial states are arbitrary. *)
-      cur = Array.make n true;
-      cur_list = List.init n Fun.id;
-      nxt = Array.make n false;
-      nxt_list = [];
-      last_msg = Array.init n (fun p -> P.emit graph p states.(p));
-      shadow = Array.copy states;
-      warm;
-    }
-
-  (* A churn event or fault dirties exactly the nodes whose step input it
-     can change: the victim itself and — when its frames appear or vanish
-     or its emission is rewritten — every node that can hear it. Base-graph
-     neighborhoods are a superset of any snapshot's, so marking them is
-     always safe. State-rewriting events also rebase the stored emission,
-     keeping the compare-against-previous invariant intact. *)
-  let touch_event ctx base states ev =
-    let mark_with_nbrs p =
-      mark_now ctx p;
-      Array.iter (mark_now ctx) (Graph.neighbors base p)
-    in
-    match ev with
-    | Churn.Crash p | Churn.Sleep p | Churn.Wake p -> mark_with_nbrs p
-    | Churn.Join p | Churn.Corrupt p ->
-        ctx.last_msg.(p) <- P.emit base p states.(p);
-        mark_with_nbrs p
-    | Churn.Link_down (p, q) | Churn.Link_up (p, q) ->
-        mark_now ctx p;
-        mark_now ctx q
-
-  let touch_fault ctx base states v =
-    ctx.last_msg.(v) <- P.emit base v states.(v);
-    mark_now ctx v;
-    Array.iter (mark_now ctx) (Graph.neighbors base v)
-
-  (* One sparse round: step only the frontier. [prev_rk] keys the previous
-     round's channel plan — counter-keyed sampling makes it reconstructible,
-     so delivery diffs need no storage. *)
-  let step_round_sparse ctx ~rk ~prev_rk ~round graph live channel scheduler
-      states =
-    let n = Array.length states in
-    let changed = ref 0 in
-    let deliver =
-      Channel.round_plan channel ~key:(lane_channel rk) ~round ~graph
-    in
-    let hkey = lane_handle rk in
-    (* A lossy channel changes a node's inputs whenever an incident
-       delivery decision flips between rounds, even with every state
-       quiet; mark receivers whose pattern moved. Deterministic channels
-       skip this entirely. *)
-    (match prev_rk with
-    | Some prk when not (Channel.deterministic channel) ->
-        let prev =
-          Channel.round_plan channel ~key:(lane_channel prk) ~round:(round - 1)
-            ~graph
-        in
-        for p = 0 to n - 1 do
-          if live.(p) && not ctx.cur.(p) then begin
-            let nbrs = Graph.neighbors graph p in
-            let k = Array.length nbrs in
-            let i = ref 0 in
-            let flipped = ref false in
-            while (not !flipped) && !i < k do
-              let q = nbrs.(!i) in
-              if deliver ~src:q ~dst:p <> prev ~src:q ~dst:p then
-                flipped := true;
-              incr i
-            done;
-            if !flipped then mark_now ctx p
-          end
-        done
-    | _ -> ());
-    (* Stepping a node: identical to the dense path, plus frontier
-       bookkeeping. An output change re-arms the node itself; an emission
-       change disturbs its audience (this round for daemons that still
-       have the neighbor ahead in the order, next round otherwise — the
-       conservative union is safe because stepping a node whose input did
-       not change is output-stable by the protocol contract); a warm state
-       (pending time-based behavior, e.g. cache expiry) keeps the node
-       stepping until it drains. *)
-    let update_node ~in_round read p =
-      if live.(p) then begin
-        let msgs = gather_messages deliver graph read p in
-        let next = P.handle (node_rng hkey p) graph p states.(p) msgs in
-        if not (P.equal_state next states.(p)) then begin
-          incr changed;
-          mark_nxt ctx p
-        end;
-        states.(p) <- next;
-        let msg = P.emit graph p next in
-        if msg <> ctx.last_msg.(p) then begin
-          ctx.last_msg.(p) <- msg;
-          let nbrs = Graph.neighbors graph p in
-          Array.iter
-            (fun q ->
-              if in_round then mark_now ctx q;
-              mark_nxt ctx q)
-            nbrs
-        end;
-        if ctx.warm next then mark_nxt ctx p
-      end
-    in
-    (match scheduler with
-    | Scheduler.Synchronous ->
-        (* Frontier order is irrelevant: every step reads the pre-round
-           snapshot and its own key lane. Only frontier nodes mutate
-           during the walk, so saving just their slots into the
-           persistent shadow reproduces the full pre-round snapshot:
-           [read] serves frontier members from the shadow and everyone
-           else (guaranteed untouched this round) from the live array.
-           The frontier cannot grow mid-walk ([in_round:false]), which
-           keeps the membership test stable. *)
-        if ctx.cur_list <> [] then begin
-          List.iter (fun p -> ctx.shadow.(p) <- states.(p)) ctx.cur_list;
-          let read q = if ctx.cur.(q) then ctx.shadow.(q) else states.(q) in
-          List.iter (fun p -> update_node ~in_round:false read p) ctx.cur_list;
-          (* Re-point the saved slots at the current states so the shadow
-             never retains a dead generation of protocol state. *)
-          List.iter (fun p -> ctx.shadow.(p) <- states.(p)) ctx.cur_list
-        end
-    | Scheduler.Sequential ->
-        (* Scan in daemon order so an emission change reaches the nodes
-           behind it in the same round, exactly as in the dense walk. *)
-        let read q = states.(q) in
-        for p = 0 to n - 1 do
-          if ctx.cur.(p) then update_node ~in_round:true read p
-        done
-    | Scheduler.Random_order ->
-        let order = Rng.permutation (Rng.of_key (lane_perm rk)) n in
-        let read q = states.(q) in
-        Array.iter
-          (fun p -> if ctx.cur.(p) then update_node ~in_round:true read p)
-          order);
-    advance_frontier ctx;
-    !changed
-
   let init_states rng graph =
     Array.init (Graph.node_count graph) (fun p -> P.init rng graph p)
 
@@ -349,7 +168,7 @@ module Make (P : Protocol.S) = struct
               true
         end
 
-  let run ?(mode = Dense) ?(scheduler = Scheduler.Synchronous)
+  let run ?(scheduler = Scheduler.Synchronous)
       ?(channel = Channel.perfect) ?(max_rounds = 10_000) ?(quiet_rounds = 1)
       ?fault ?churn ?corrupt ?motion ?on_round ?on_event ?probe ?workload
       ?states rng graph =
@@ -361,13 +180,14 @@ module Make (P : Protocol.S) = struct
     let states =
       (* The round loop updates states in place; copying the warm-start
          array keeps the caller's snapshot intact, so one evolved array can
-         seed several runs (e.g. a dense reference and a sparse replay)
+         seed several runs (e.g. a dense reference and a flat replay)
          without the first run silently converging the others' input. *)
       match states with Some s -> Array.copy s | None -> init_states rng graph
     in
     (* A warm-start array of the wrong length would otherwise surface as an
-       out-of-bounds access deep in the round loop (live/frontier arrays
-       are sized from it); fail fast with the mismatch spelled out. *)
+       out-of-bounds access deep in the round loop (the live mask and the
+       snapshot buffer are sized from it); fail fast with the mismatch
+       spelled out. *)
     if Array.length states <> Graph.node_count graph then
       invalid_arg
         (Printf.sprintf
@@ -378,18 +198,9 @@ module Make (P : Protocol.S) = struct
        hands the graph to arbitrary instrumentation that may legitimately
        hold it across rounds, so probed runs keep immutable snapshots. *)
     let dyn = Dynamic.create ~reuse_snapshots:(Option.is_none probe) graph in
-    let ctx =
-      match mode with
-      | Dense -> None
-      | Sparse { warm } ->
-          let warm = match warm with Some f -> f | None -> fun _ -> false in
-          Some (make_ctx ~warm graph states)
-    in
-    (* Dense synchronous rounds broadcast from a pre-round snapshot; one
+    (* Synchronous rounds broadcast from a pre-round snapshot; one
        run-lifetime buffer replaces the former per-round [Array.copy]. *)
-    let scratch =
-      match mode with Dense -> Array.copy states | Sparse _ -> [||]
-    in
+    let scratch = Array.copy states in
     (* Keep the run alive through quiescence while a bounded plan still has
        events scheduled, so post-convergence storms always fire. *)
     let horizon =
@@ -436,30 +247,7 @@ module Make (P : Protocol.S) = struct
               moved_links := diff.Motion.n_added + diff.Motion.n_removed;
               if !moved_links > 0 then
                 Dynamic.rebase dyn ~base:base' ~added:diff.Motion.added
-                  ~removed:diff.Motion.removed;
-              (match ctx with
-              | None -> ()
-              | Some c ->
-                  (* Every flipped edge disturbs both endpoints' inputs.
-                     On a position-dependent channel a node can be
-                     disturbed by pure movement (it drifted across the jam
-                     boundary), so moved nodes and their audiences join
-                     the frontier too — this also keeps the previous-plan
-                     replay honest: every unmarked node provably has both
-                     an unchanged row and unchanged relevant positions. *)
-                  let mark_edge (p, q) =
-                    mark_now c p;
-                    mark_now c q
-                  in
-                  List.iter mark_edge diff.Motion.added;
-                  List.iter mark_edge diff.Motion.removed;
-                  if Channel.position_dependent channel then
-                    let b = Dynamic.base dyn in
-                    List.iter
-                      (fun p ->
-                        mark_now c p;
-                        Array.iter (mark_now c) (Graph.neighbors b p))
-                      diff.Motion.moved)));
+                  ~removed:diff.Motion.removed));
       let churn_corrupted = ref [] in
       let applied =
         match churn with
@@ -471,9 +259,6 @@ module Make (P : Protocol.S) = struct
                   (match ev with
                   | Churn.Corrupt p -> churn_corrupted := p :: !churn_corrupted
                   | _ -> ());
-                  (match ctx with
-                  | Some c -> touch_event c (Dynamic.base dyn) states ev
-                  | None -> ());
                   (match on_event with
                   | None -> ()
                   | Some f -> f ~round:!round ev);
@@ -492,9 +277,6 @@ module Make (P : Protocol.S) = struct
         | None -> []
         | Some inject -> inject ~round:!round ~states rng
       in
-      (match ctx with
-      | Some c -> List.iter (touch_fault c (Dynamic.base dyn) states) victims
-      | None -> ());
       (* Every corrupted node this round: churn [Corrupt] events in plan
          order, then the fault hook's victims. A fault round counts as a
          disturbance for burst/recovery attribution even without churn. *)
@@ -509,17 +291,7 @@ module Make (P : Protocol.S) = struct
       let g = Dynamic.snapshot dyn in
       let rk = Rng.subkey base_key !round in
       let changed =
-        match ctx with
-        | None ->
-            step_round ~rk ~round:!round ~scratch g live channel scheduler
-              states
-        | Some c ->
-            let prev_rk =
-              if !round > 1 then Some (Rng.subkey base_key (!round - 1))
-              else None
-            in
-            step_round_sparse c ~rk ~prev_rk ~round:!round g live channel
-              scheduler states
+        step_round ~rk ~round:!round ~scratch g live channel scheduler states
       in
       history := changed :: !history;
       (match on_round with

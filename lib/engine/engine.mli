@@ -71,26 +71,6 @@ val lane_handle : Ss_prng.Rng.key -> Ss_prng.Rng.key
 (** Per-node handle-generator lane of a round key (subkey by node). *)
 
 module Make (P : Protocol.S) : sig
-  type mode =
-    | Dense  (** every live node steps every round — the reference walk *)
-    | Sparse of { warm : (P.state -> bool) option }
-        (** dirty-set execution: a node steps only when its input could
-            have changed since its last step — it changed itself, a node
-            it can hear changed its emission, a churn/fault event touched
-            its neighborhood, an incident channel delivery decision
-            flipped, or [warm] reports pending time-based behavior (e.g.
-            {!Ss_cluster.Distributed.pending_expiry}: cache entries aging
-            toward their TTL, which must keep ticking for the protocol to
-            stay self-stabilizing). Equivalent to [Dense] on every
-            observable of {!run} — states modulo [P.equal_state], rounds,
-            change history, bursts, faults — for protocols honoring the
-            {!Protocol.S} step-input contract; cost per round is
-            proportional to the perturbed region, not the network. *)
-
-  val sparse : mode
-  (** [Sparse { warm = None }] — for protocols without time-based
-      behavior. *)
-
   type run = {
     states : P.state array;
         (** final states; crashed/sleeping nodes hold their last (Join
@@ -122,7 +102,6 @@ module Make (P : Protocol.S) : sig
   (** One [P.init] per node. *)
 
   val run :
-    ?mode:mode ->
     ?scheduler:Scheduler.t ->
     ?channel:Ss_radio.Channel.t ->
     ?max_rounds:int ->
@@ -149,7 +128,10 @@ module Make (P : Protocol.S) : sig
     Ss_prng.Rng.t ->
     Ss_topology.Graph.t ->
     run
-  (** Execute rounds until [quiet_rounds] consecutive rounds change no state
+  (** The reference walk: every live node steps every round. It is the
+      specification the flat executor ({!Flat}) is checked against.
+
+      Execute rounds until [quiet_rounds] consecutive rounds change no state
       (and inject no fault or churn event), or until [max_rounds]. When the
       churn plan has a bounded {!Churn.horizon}, the run is kept alive
       through quiescence until the horizon passes, so scheduled storms
@@ -158,11 +140,8 @@ module Make (P : Protocol.S) : sig
       Per round, in order: [motion] fires first — when it reports edge
       flips, the dynamic topology is {e rebased} onto the new unit-disk
       graph (down-marks on links that left radio range are dropped; a
-      pair drifting back into range starts with the link up) and, in
-      sparse mode, both endpoints of every flipped edge join the dirty
-      frontier (plus, on a position-dependent channel such as [jammed],
-      every moved node and its audience — movement alone can change
-      deliveries there). Edge flips reset the quiescence counter — a run
+      pair drifting back into range starts with the link up). Edge flips
+      reset the quiescence counter — a run
       cannot "converge" mid-rewiring — but are {e not} churn events: they
       appear in no burst accounting, and a round whose fleet moved
       without flipping an edge can still close out convergence. Then
@@ -204,25 +183,20 @@ module Make (P : Protocol.S) : sig
       [converged] mean the same thing with and without traffic. The hook
       must not mutate protocol state, and any randomness it consumes
       must be counter-keyed from its own key — never the run's generator
-      — or executor equivalence (dense ≡ sparse ≡ flat) breaks.
+      — or executor equivalence (dense ≡ flat) breaks.
 
       Randomness is split into two disjoint families. The supplied
       generator drives only the per-round plan evaluation — churn events,
       fault hooks, [Join] re-initializations, [Corrupt] scrambles — which
-      every mode performs identically. Everything inside the round is
+      every executor performs identically. Everything inside the round is
       {e counter-keyed} off a base key drawn once at entry: channel loss
       is a pure function of (key, round, src, dst), the random-order
       daemon's permutation of (key, round), and each node's [handle]
       generator of (key, round, node). Skipping a node therefore cannot
-      shift any other consumer's stream, which is what makes
-      [~mode:Sparse] bit-equivalent to [Dense] on every channel and
+      shift any other consumer's stream, which is what lets the flat
+      executor's dirty frontier match this walk on every channel and
       scheduler.
 
-      Sparse mode additionally relies on the [fault] hook reporting every
-      node it mutated (an unreported mutation would change an emission
-      behind the dirty-set's back), and on the protocol honoring the
-      {!Protocol.S} step-input contract.
-
-      Defaults: dense mode, synchronous scheduler, perfect channel, 10000
+      Defaults: synchronous scheduler, perfect channel, 10000
       rounds max, one quiet round, no churn. *)
 end

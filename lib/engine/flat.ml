@@ -1,6 +1,6 @@
 (* The flat-memory executor: Engine.run's orchestration re-targeted at a
    Protocol.FLAT's struct-of-arrays planes, with the round loop in
-   Flat_core. Same observables as Engine's sparse/dense modes — states
+   Flat_core. Same observables as Engine's dense reference walk — states
    (modulo equal_state), rounds, change history, bursts, faults — for
    protocols honoring the flat contract, which the differential battery
    in test/suite_flat.ml enforces; determinism across ?domains is

@@ -6,9 +6,12 @@
     Equivalent to [Engine.Make(P).run] — same states modulo
     [P.equal_state], rounds, change history, bursts and faults for the
     options both offer — for protocols honoring the {!Protocol.FLAT}
-    contract; the differential battery in [test/suite_flat.ml] enforces
-    flat ≡ sparse ≡ dense over random graphs, channels, schedulers,
-    churn and motion. Differences from the reference executor:
+    contract (its step-input contract is what lets the dirty frontier
+    skip nodes); the differential battery in [test/suite_flat.ml]
+    enforces flat ≡ dense over random graphs, channels, schedulers,
+    churn and motion. This is the production path for anything that
+    needs speed; the dense walk is the specification. Differences from
+    the reference executor:
 
     - [?domains] runs synchronous rounds sharded over a domain pool;
       every domain count yields bit-identical results (see
@@ -16,11 +19,9 @@
     - No [?fault] hook and no [?probe]: both hand typed state arrays to
       arbitrary callbacks every round, which would force a full
       unpack per round and defeat the flat representation. Use the churn
-      plan's [Corrupt] events for fault injection and [?on_round] for
-      instrumentation.
-    - Warm behavior is not optional: the protocol's [Flat.warm] is
-      always consulted (the typed executor's [Sparse { warm }] is a
-      per-run choice). *)
+      plan's [Corrupt] events for fault injection and [?on_round] or a
+      passive [?workload] (one that reads views and returns [false]) for
+      instrumentation. *)
 
 module Make (P : Protocol.FLAT) : sig
   type run = {

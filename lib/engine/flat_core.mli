@@ -77,8 +77,9 @@ val step_round :
 (** Execute one round over the current frontier and advance it; returns
     the changed-node count. [prev] is the previous round's delivery plan
     — pass it on non-deterministic channels so nodes whose incident
-    delivery pattern flipped get re-stepped ({!Engine} sparse mode's
-    replay). [perm] is the round's schedule for [Random_order] (required
+    delivery pattern flipped get re-stepped (counter-keyed channel plans
+    make the previous round's plan reconstructible, so the diff needs no
+    storage). [perm] is the round's schedule for [Random_order] (required
     there, ignored otherwise). [has_down]/[edge_down] filter the
     potential rows down to the effective topology: [edge_down] is only
     consulted when [has_down] is true, so churn-free rounds skip the

@@ -6,41 +6,17 @@
     it broadcasts each step, and the guarded-assignment body run on
     reception.
 
-    {2 Step-input determinism (the sparse-execution contract)}
+    {2 Purity}
 
-    The engine's sparse mode ({!Engine.Make.run} with [~mode:Sparse])
-    skips a node's step whenever its {e step input} — the multiset of
-    (sender, frame) pairs delivered to it, plus its own state and
-    adjacency row — is unchanged since the last step it executed, and the
-    node is not "warm" (see below). For skipping to be unobservable, every
-    implementation must satisfy, beyond the purity already required:
-
-    - [handle] must be a function of the generator, the node's own
-      adjacency in the given graph, its state, and the received frames
-      only — no hidden inputs (wall clock, global counters, other nodes'
-      rows).
-    - [emit] must be a function of the node index and state only; the
-      graph argument is provided for convenience but {e must not}
-      influence the frame (otherwise a remote topology event could change
-      an emission the sparse engine considers unchanged).
-    - [handle] at an input fixpoint must be output-stable: re-running it
-      with an unchanged input must leave every field observed by
-      [equal_state] and every field observable through [emit] unchanged,
-      and must consume no draws from the generator. Bookkeeping that
-      advances uniformly (local clocks, cache freshness stamps) may still
-      change, provided its only observable effect is {e time-based} and
-      declared through the warm hook: a state with pending time-based
-      behavior (for {!Ss_cluster.Distributed}, any cache entry not
-      refreshed at the last executed step, which will expire after the
-      TTL) must report warm so the engine keeps stepping it until the
-      pending behavior has drained.
-    - [message] must be plain structural data (no functions, no cycles):
-      the sparse engine compares emissions structurally to decide which
-      neighbors a step disturbed.
-
-    Every protocol in this repository satisfies the contract; the
-    differential battery in [test/suite_sparse.ml] checks sparse ≡ dense
-    over random graphs, channels, schedulers and churn plans. *)
+    [handle] must be a function of the generator, the node's own
+    adjacency in the given graph, its state, and the received frames only
+    — no hidden inputs (wall clock, global counters, other nodes' rows).
+    [emit] must be a function of the node index and state only; the graph
+    argument is provided for convenience but {e must not} influence the
+    frame. [message] must be plain structural data (no functions, no
+    cycles). Executing a subset of the nodes in a round (the flat
+    executor's frontier, see {!FLAT}) rests on these, plus the stronger
+    step-input contract stated there. *)
 
 module type S = sig
   type state
@@ -54,7 +30,7 @@ module type S = sig
   val emit : Ss_topology.Graph.t -> int -> state -> message
   (** The frame locally broadcast by the node in each step — the values of
       its shared variables. Must depend on the node and state only (see
-      the sparse-execution contract above). *)
+      above). *)
 
   val handle :
     Ss_prng.Rng.t ->
@@ -65,13 +41,12 @@ module type S = sig
     state
   (** One step: execute all enabled guarded assignments given the frames
       received this step (sender id paired with each frame). Must be a pure
-      function of its arguments plus the supplied generator, and
-      output-stable at input fixpoints (see above). *)
+      function of its arguments plus the supplied generator. *)
 
   val equal_state : state -> state -> bool
   (** Used for fixpoint detection. May ignore bookkeeping fields (clocks,
-      freshness stamps) whose evolution is declared through the engine's
-      warm hook. *)
+      freshness stamps); a {!FLAT} protocol declares their time-based
+      effects through [Flat.warm]. *)
 end
 
 (** A protocol that additionally exposes a {e flat-memory execution
@@ -94,8 +69,31 @@ end
     - [Flat.view b p] reads exactly what [view (unpack b p)] reads,
       through every accessor the protocol offers on views.
 
-    The differential battery in [test/suite_flat.ml] enforces all five
-    against the typed path. *)
+    {2 Step-input contract (the frontier)}
+
+    The flat executor ({!Flat}, loop in {!Flat_core}) steps a node only
+    when its {e step input} — the (sender, frame) pairs delivered to it,
+    its own state planes and adjacency row — may have changed since the
+    node's last executed step, or when [Flat.warm] reports pending
+    time-based behavior. For skipping to be unobservable:
+
+    - [Flat.step] at an input fixpoint must be output-stable: re-running
+      it with an unchanged input must leave every field observed by
+      [equal_state] and the emission [refresh_emit] derives unchanged,
+      and must consume no draws. Bookkeeping that advances uniformly
+      (local clocks, cache freshness stamps) may still change, provided
+      its only observable effect is {e time-based} and declared through
+      [Flat.warm]: a node with pending time-based behavior (for
+      {!Ss_cluster.Distributed}, any cache entry not refreshed at the
+      last executed step, which will expire after the TTL) must report
+      warm so the executor keeps stepping it until the behavior drains.
+    - Every in-round random decision is counter-keyed (see
+      {!Engine.lane_handle}), so skipping a node shifts no other node's
+      draws.
+
+    The differential battery in [test/suite_flat.ml] enforces all of
+    this against the dense reference walk ({!Engine.Make.run}), which
+    steps every live node every round. *)
 module type FLAT = sig
   include S
 
@@ -106,15 +104,15 @@ module type FLAT = sig
 
   val view : state -> view
   (** The typed projection: the specification of [Flat.view], and what
-      callers of the typed executors ({!Engine.Make.run}) apply to a
+      callers of the dense walk ({!Engine.Make.run}) apply to a
       read state. *)
 
   module Flat : sig
     type buffers
     (** The whole deployment's mutable state, struct-of-arrays: one (or a
         few) unboxed arrays per logical field, plus a per-node {e
-        emission plane} caching the frame each node currently broadcasts
-        (the flat analogue of the sparse executor's [last_msg]). *)
+        emission plane} caching the frame each node currently broadcasts,
+        against which the frontier detects emission changes. *)
 
     type scratch
     (** Reusable per-worker workspace for [step]/[refresh_emit] — grown
@@ -175,6 +173,8 @@ module type FLAT = sig
         [p]'s slots, so distinct nodes step safely in parallel. *)
 
     val warm : buffers -> int -> bool
-    (** Pending time-based behavior, as in {!Engine.Make.mode}. *)
+    (** Pending time-based behavior (see the step-input contract above):
+        while [true] the executor keeps stepping node [p] even with an
+        unchanged input. *)
   end
 end

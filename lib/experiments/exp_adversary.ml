@@ -74,7 +74,7 @@ let configs ~behaviors ~counts ~channels =
 (* One run: converge-from-arbitrary-init with the adversary switching on
    at [from_round], the monitor projecting wrapped states back to honest
    semantics. Pure per-run so configs parallelize over domains. *)
-let run_one rng ~sparse ~spec ~max_rounds ~from_round ~horizon ~behavior
+let run_one rng ~spec ~max_rounds ~from_round ~horizon ~behavior
     ~count channel =
   let world = Scenario.build rng spec in
   let graph = world.Scenario.graph in
@@ -106,12 +106,8 @@ let run_one rng ~sparse ~spec ~max_rounds ~from_round ~horizon ~behavior
   let monitor =
     Invariants.monitor_via ~adversary ~project:Q.project ~config ~ids ()
   in
-  let mode =
-    if sparse then EQ.Sparse { warm = Some (Q.warm Distributed.pending_expiry) }
-    else EQ.Dense
-  in
   let result =
-    EQ.run ~mode ~channel ~quiet_rounds ~max_rounds
+    EQ.run ~channel ~quiet_rounds ~max_rounds
       ~on_round:(Monitor.on_round monitor)
       ~probe:(Monitor.probe monitor) rng graph
   in
@@ -122,10 +118,10 @@ type outcome =
   | Run_ok of Monitor.classification * Monitor.containment option
   | Run_failed of string
 
-let outcome_of_run rng ~sparse ~spec ~max_rounds ~from_round ~horizon
+let outcome_of_run rng ~spec ~max_rounds ~from_round ~horizon
     ~behavior ~count channel =
   match
-    run_one rng ~sparse ~spec ~max_rounds ~from_round ~horizon ~behavior
+    run_one rng ~spec ~max_rounds ~from_round ~horizon ~behavior
       ~count channel
   with
   | cls, containment -> Run_ok (cls, containment)
@@ -144,12 +140,12 @@ let judge = function
                c.Monitor.worst_radius c.Monitor.escaped_rounds)
       | Some _ | None -> None)
 
-let run_config ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~from_round
+let run_config ?domains ~seed ~runs ~spec ~max_rounds ~from_round
     ~horizon ~behavior ~count channel =
   let outcomes =
     Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
         ignore run;
-        outcome_of_run rng ~sparse ~spec ~max_rounds ~from_round ~horizon
+        outcome_of_run rng ~spec ~max_rounds ~from_round ~horizon
           ~behavior ~count channel)
   in
   let contained = ref 0 in
@@ -203,20 +199,20 @@ let run_config ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~from_round
     bad = List.rev !bad;
   }
 
-let run ?(seed = 42) ?(runs = 5) ?domains ?(sparse = false)
+let run ?(seed = 42) ?(runs = 5) ?domains
     ?(spec = default_spec) ?(behaviors = Adversary.behaviors)
     ?(counts = default_counts) ?(channels = default_channels)
     ?(max_rounds = 800) ?(from_round = default_from_round)
     ?(horizon = Exp_campaign.default_horizon) () =
   List.map
     (fun (behavior, count, channel) ->
-      run_config ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~from_round
+      run_config ?domains ~seed ~runs ~spec ~max_rounds ~from_round
         ~horizon ~behavior ~count channel)
     (configs ~behaviors ~counts ~channels)
 
 (* Single-(cell, run) re-execution; same stream argument as
    {!Exp_campaign.replay}. *)
-let replay ?(seed = 42) ?(sparse = false) ?(spec = default_spec)
+let replay ?(seed = 42) ?(spec = default_spec)
     ?(behaviors = Adversary.behaviors) ?(counts = default_counts)
     ?(channels = default_channels) ?(max_rounds = 800)
     ?(from_round = default_from_round)
@@ -229,7 +225,7 @@ let replay ?(seed = 42) ?(sparse = false) ?(spec = default_spec)
   let ((behavior, count, channel) as config) = List.nth cs cell_index in
   let rng = (Runner.streams ~seed ~runs:(run_index + 1)).(run_index) in
   let outcome =
-    outcome_of_run rng ~sparse ~spec ~max_rounds ~from_round ~horizon
+    outcome_of_run rng ~spec ~max_rounds ~from_round ~horizon
       ~behavior ~count channel
   in
   (config, judge outcome)
@@ -265,10 +261,10 @@ let to_table ?replay_prefix
          ])
        rows)
 
-let print ?seed ?runs ?domains ?sparse ?spec ?behaviors ?counts ?channels
+let print ?seed ?runs ?domains ?spec ?behaviors ?counts ?channels
     ?max_rounds ?from_round ?horizon () =
   let rows =
-    run ?seed ?runs ?domains ?sparse ?spec ?behaviors ?counts ?channels
+    run ?seed ?runs ?domains ?spec ?behaviors ?counts ?channels
       ?max_rounds ?from_round ?horizon ()
   in
   Table.print (to_table rows);

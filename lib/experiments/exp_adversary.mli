@@ -54,7 +54,6 @@ val run :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?behaviors:Ss_engine.Adversary.behavior list ->
   ?counts:int list ->
@@ -64,13 +63,10 @@ val run :
   ?horizon:int ->
   unit ->
   row list
-(** Rows in behavior-major, count-middle, channel-minor order. [sparse]
-    switches the engine to dirty-set execution with the wrapped warm
-    hook; rows are bit-identical to the dense walk. *)
+(** Rows in behavior-major, count-middle, channel-minor order. *)
 
 val replay :
   ?seed:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?behaviors:Ss_engine.Adversary.behavior list ->
   ?counts:int list ->
@@ -99,7 +95,6 @@ val print :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?behaviors:Ss_engine.Adversary.behavior list ->
   ?counts:int list ->

@@ -179,12 +179,6 @@ type success = {
 
 type outcome = Run_ok of success | Run_failed of string
 
-(* Same contract as {!Exp_churn.mode}: sparse rows are bit-identical to
-   dense ones, the flag only buys wall-clock on large sweeps. *)
-let mode ~sparse =
-  if sparse then E.Sparse { warm = Some Distributed.pending_expiry }
-  else E.Dense
-
 let success_of_report ~converged (rep : Monitor.report) =
   {
     ok_converged = converged;
@@ -206,7 +200,7 @@ let success_of_report ~converged (rep : Monitor.report) =
    stabilization is asserted beyond it. *)
 let default_horizon = 2
 
-let run_one rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell =
+let run_one rng ~spec ~max_rounds ~burst_round ~horizon cell =
   let world = Scenario.build rng spec in
   let graph = world.Scenario.graph in
   let ids = Array.init (Graph.node_count graph) Fun.id in
@@ -214,7 +208,7 @@ let run_one rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell =
   | None ->
       let monitor = Invariants.monitor ~config ~ids () in
       let result =
-        E.run ~mode:(mode ~sparse) ~scheduler:cell.c_scheduler
+        E.run ~scheduler:cell.c_scheduler
           ~channel:cell.c_channel ~quiet_rounds ~max_rounds
           ~churn:(plan ~burst_round cell)
           ~corrupt:Distributed.corrupt
@@ -255,13 +249,8 @@ let run_one rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell =
       let monitor =
         Invariants.monitor_via ~adversary ~project:Q.project ~config ~ids ()
       in
-      let mode =
-        if sparse then
-          EQ.Sparse { warm = Some (Q.warm Distributed.pending_expiry) }
-        else EQ.Dense
-      in
       let result =
-        EQ.run ~mode ~scheduler:cell.c_scheduler ~channel:cell.c_channel
+        EQ.run ~scheduler:cell.c_scheduler ~channel:cell.c_channel
           ~quiet_rounds ~max_rounds
           ~churn:(plan ~burst_round cell)
           ~corrupt:(Q.lift_corrupt Distributed.corrupt)
@@ -271,8 +260,8 @@ let run_one rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell =
       let rep = Monitor.report monitor ~converged:result.EQ.converged in
       success_of_report ~converged:result.EQ.converged rep
 
-let outcome_of_run rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell =
-  match run_one rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell with
+let outcome_of_run rng ~spec ~max_rounds ~burst_round ~horizon cell =
+  match run_one rng ~spec ~max_rounds ~burst_round ~horizon cell with
   | ok -> Run_ok ok
   | exception e -> Run_failed (Printexc.to_string e)
 
@@ -302,12 +291,12 @@ let judge cell outcome =
         Some (Printf.sprintf "post-recovery violations=%d" ok.ok_post)
       else None
 
-let run_cell ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~burst_round
+let run_cell ?domains ~seed ~runs ~spec ~max_rounds ~burst_round
     ~horizon cell =
   let outcomes =
     Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
         ignore run;
-        outcome_of_run rng ~sparse ~spec ~max_rounds ~burst_round ~horizon
+        outcome_of_run rng ~spec ~max_rounds ~burst_round ~horizon
           cell)
   in
   (* Aggregation replays the outcome list in run order (determinism
@@ -368,11 +357,11 @@ let run_cell ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~burst_round
     bad = List.rev !bad;
   }
 
-let run ?(seed = 42) ?(runs = 4) ?domains ?(sparse = false)
+let run ?(seed = 42) ?(runs = 4) ?domains
     ?(spec = default_spec) ?(grid = default_grid) ?(max_rounds = 1_500)
     ?(burst_round = default_burst_round) ?(horizon = default_horizon) () =
   List.map
-    (run_cell ?domains ~seed ~runs ~sparse ~spec ~max_rounds ~burst_round
+    (run_cell ?domains ~seed ~runs ~spec ~max_rounds ~burst_round
        ~horizon)
     (cells grid)
 
@@ -380,7 +369,7 @@ let run ?(seed = 42) ?(runs = 4) ?domains ?(sparse = false)
    same per-run positional sub-streams to its replicates, so run [i] of
    any cell is the [i]-th stream of the base seed — the prefix property of
    {!Runner.streams} makes this cheap and exact at any original --jobs. *)
-let replay ?(seed = 42) ?(sparse = false) ?(spec = default_spec)
+let replay ?(seed = 42) ?(spec = default_spec)
     ?(grid = default_grid) ?(max_rounds = 1_500)
     ?(burst_round = default_burst_round) ?(horizon = default_horizon)
     ~cell:cell_index ~run:run_index () =
@@ -391,7 +380,7 @@ let replay ?(seed = 42) ?(sparse = false) ?(spec = default_spec)
   let cell = List.nth cs cell_index in
   let rng = (Runner.streams ~seed ~runs:(run_index + 1)).(run_index) in
   let outcome =
-    outcome_of_run rng ~sparse ~spec ~max_rounds ~burst_round ~horizon cell
+    outcome_of_run rng ~spec ~max_rounds ~burst_round ~horizon cell
   in
   (cell, judge cell outcome)
 
@@ -442,10 +431,10 @@ let to_table ?replay_prefix
            ])
        rows)
 
-let print ?seed ?runs ?domains ?sparse ?spec ?grid ?max_rounds ?burst_round
+let print ?seed ?runs ?domains ?spec ?grid ?max_rounds ?burst_round
     ?horizon () =
   let rows =
-    run ?seed ?runs ?domains ?sparse ?spec ?grid ?max_rounds ?burst_round
+    run ?seed ?runs ?domains ?spec ?grid ?max_rounds ?burst_round
       ?horizon ()
   in
   Table.print (to_table rows);

@@ -94,7 +94,6 @@ val run_cell :
   ?domains:int ->
   seed:int ->
   runs:int ->
-  sparse:bool ->
   spec:Scenario.spec ->
   max_rounds:int ->
   burst_round:int ->
@@ -106,7 +105,6 @@ val run :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?grid:grid ->
   ?max_rounds:int ->
@@ -114,13 +112,9 @@ val run :
   ?horizon:int ->
   unit ->
   row list
-(** [sparse] (default false) switches the engine to dirty-set execution
-    with the {!Ss_cluster.Distributed.pending_expiry} warm hook; rows are
-    bit-identical to the dense walk, only faster on large grids. *)
 
 val replay :
   ?seed:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?grid:grid ->
   ?max_rounds:int ->
@@ -155,7 +149,6 @@ val print :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?grid:grid ->
   ?max_rounds:int ->

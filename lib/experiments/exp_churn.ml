@@ -1,6 +1,6 @@
 (* Extension experiment C1: recovery under within-run churn.
 
-   A single engine run per (scheduler, storm) pair per seed: the stack
+   A single flat-executor run per (scheduler, storm) pair per seed: the stack
    converges on a Poisson deployment at paper densities, then the churn
    plan hits it mid-run — crash storms, link flapping, sleep/wake cycles,
    state corruption — and the protocol must recover in place, with no
@@ -25,7 +25,7 @@ module P = Distributed.Make (struct
   let params = Distributed.default_params
 end)
 
-module E = Ss_engine.Engine.Make (P)
+module E = Ss_engine.Flat.Make (P)
 
 (* Quiet-round target above the cache TTL: pending expiries and in-flight
    relays can leave isolated output-quiet rounds mid-convergence. *)
@@ -107,15 +107,12 @@ type run_outcome = {
   run_legitimate : bool;
 }
 
-(* The sparse executor is observationally identical to the dense one (the
-   differential battery in test/suite_sparse.ml is the proof), so rows are
-   the same either way; the flag exists to speed up large sweeps and to
-   cross-check the equivalence at experiment scale. *)
-let mode ~sparse =
-  if sparse then E.Sparse { warm = Some Distributed.pending_expiry }
-  else E.Dense
-
-let measure ?domains ~seed ~runs ~sparse ~spec ~max_rounds scheduler storm =
+(* Runs execute on the flat executor, observationally identical to the
+   dense reference walk (the differential battery in test/suite_flat.ml
+   is the contract). The peak-ghost probe is a passive workload: it reads
+   routing views after every round and reports itself inactive, so it
+   never extends a run. *)
+let measure ?domains ~seed ~runs ~spec ~max_rounds scheduler storm =
   let outcomes =
     Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
         ignore run;
@@ -124,12 +121,14 @@ let measure ?domains ~seed ~runs ~sparse ~spec ~max_rounds scheduler storm =
         let ghosts = ref 0 in
         let events = Counter.create () in
         let result =
-          E.run ~mode:(mode ~sparse) ~scheduler ~quiet_rounds ~max_rounds
+          E.run ~scheduler ~quiet_rounds ~max_rounds
             ~churn:(plan_of_storm storm) ~corrupt:Distributed.corrupt
             ~on_event:(fun ~round:_ ev ->
               Counter.incr events (Churn.event_label ev))
-            ~probe:(fun ~round:_ ~graph:_ ~alive states ->
-              ghosts := max !ghosts (Distributed.ghost_references ~alive states))
+            ~workload:(fun ~round:_ ~graph:_ ~alive ~read ->
+              ghosts :=
+                max !ghosts (Distributed.view_ghost_references ~alive read);
+              false)
             rng graph
         in
         let ids = Array.init (Graph.node_count graph) Fun.id in
@@ -189,13 +188,13 @@ let default_spec = Scenario.poisson ~intensity:300.0 ~radius:0.1 ()
 
 let default_schedulers = [ Scheduler.Synchronous; Scheduler.Random_order ]
 
-let run ?(seed = 42) ?(runs = 5) ?domains ?(sparse = false)
-    ?(spec = default_spec) ?(schedulers = default_schedulers)
+let run ?(seed = 42) ?(runs = 5) ?domains ?(spec = default_spec)
+    ?(schedulers = default_schedulers)
     ?(storms = default_storms) ?(max_rounds = 2_000) () =
   List.concat_map
     (fun scheduler ->
       List.map
-        (measure ?domains ~seed ~runs ~sparse ~spec ~max_rounds scheduler)
+        (measure ?domains ~seed ~runs ~spec ~max_rounds scheduler)
         storms)
     schedulers
 
@@ -243,10 +242,9 @@ let events_table ?(title = "Churn — applied events by type") rows =
          ])
        rows)
 
-let print ?seed ?runs ?domains ?sparse ?spec ?schedulers ?storms ?max_rounds ()
-    =
+let print ?seed ?runs ?domains ?spec ?schedulers ?storms ?max_rounds () =
   let rows =
-    run ?seed ?runs ?domains ?sparse ?spec ?schedulers ?storms ?max_rounds ()
+    run ?seed ?runs ?domains ?spec ?schedulers ?storms ?max_rounds ()
   in
   Table.print (to_table rows);
   Table.print (events_table rows)

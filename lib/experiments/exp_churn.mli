@@ -1,6 +1,7 @@
 (** Extension experiment C1: recovery under within-run churn.
 
-    One engine run per (scheduler, storm) per seed: the distributed stack
+    One flat-executor run per (scheduler, storm) per seed (bit-identical
+    to the dense reference walk): the distributed stack
     converges on a Poisson deployment at paper densities, then the churn
     plan crashes nodes, flaps links, sleeps/wakes subsets and corrupts
     states mid-run; the protocol recovers in place. Reported per row:
@@ -42,17 +43,12 @@ val run :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?schedulers:Ss_engine.Scheduler.t list ->
   ?storms:storm list ->
   ?max_rounds:int ->
   unit ->
   row list
-(** [sparse] (default false) switches the engine to dirty-set execution
-    with the {!Ss_cluster.Distributed.pending_expiry} warm hook. Rows are
-    bit-identical to the dense walk (the sparse differential battery is
-    the contract); the flag trades nothing but wall-clock. *)
 
 val to_table : ?title:string -> row list -> Ss_stats.Table.t
 
@@ -62,7 +58,6 @@ val print :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?schedulers:Ss_engine.Scheduler.t list ->
   ?storms:storm list ->

@@ -3,8 +3,8 @@
    a crash/rejoin burst schedule past cold-start convergence, and the
    struct-of-arrays round loop carrying the whole run. At sizes the typed
    executor still handles comfortably, the same case runs through the
-   sparse dirty-set executor too and every observable is cross-checked,
-   so the scaling rows rest on a verified engine, not a trusted one. *)
+   dense reference walk too and every observable is cross-checked, so the
+   scaling rows rest on a verified engine, not a trusted one. *)
 
 module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
@@ -30,7 +30,7 @@ type row = {
   stabilized : int;  (** last round with a state change or event *)
   seconds : float;  (** flat executor wall-clock (processor time) *)
   checked : bool option;
-      (** [Some ok]: the typed sparse executor ran the same case and
+      (** [Some ok]: the dense reference walk ran the same case and
           agreed ([ok]) on every observable; [None]: size was above the
           cross-check cutoff *)
 }
@@ -78,23 +78,21 @@ let run ?(seed = 42) ?(sizes = default_sizes) ?(check_upto = 3_000) () =
       let checked =
         if count > check_upto then None
         else
-          let sparse =
-            En.run
-              ~mode:(En.Sparse { warm = Some Distributed.pending_expiry })
-              ~quiet_rounds ~max_rounds:20_000 ~churn (Rng.create ~seed)
+          let dense =
+            En.run ~quiet_rounds ~max_rounds:20_000 ~churn (Rng.create ~seed)
               graph
           in
           Some
             (Array.for_all2
                (fun a b -> P.equal_state a b)
-               sparse.En.states flat.F.states
-            && sparse.En.rounds = flat.F.rounds
-            && sparse.En.converged = flat.F.converged
-            && sparse.En.last_change_round = flat.F.last_change_round
-            && sparse.En.change_history = flat.F.change_history
-            && sparse.En.alive = flat.F.alive
-            && sparse.En.bursts = flat.F.bursts
-            && sparse.En.faults = flat.F.faults)
+               dense.En.states flat.F.states
+            && dense.En.rounds = flat.F.rounds
+            && dense.En.converged = flat.F.converged
+            && dense.En.last_change_round = flat.F.last_change_round
+            && dense.En.change_history = flat.F.change_history
+            && dense.En.alive = flat.F.alive
+            && dense.En.bursts = flat.F.bursts
+            && dense.En.faults = flat.F.faults)
       in
       {
         nodes = n;
@@ -118,7 +116,7 @@ let to_table ?(title = "Flat executor scaling (unit-disk, degree ~7)") rows =
       ~header:
         [
           "nodes"; "edges"; "rounds"; "stabilized"; "converged"; "seconds";
-          "flat=sparse";
+          "flat=dense";
         ]
       ()
   in
@@ -143,4 +141,4 @@ let print ?seed ?sizes ?check_upto () =
   let rows = run ?seed ?sizes ?check_upto () in
   Table.print (to_table rows);
   if not (verified rows) then
-    failwith "Exp_flat: flat executor diverged from the sparse reference"
+    failwith "Exp_flat: flat executor diverged from the dense reference"

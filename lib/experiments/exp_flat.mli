@@ -4,7 +4,7 @@
     expected degree (~7), a crash/rejoin burst schedule past cold-start
     convergence, the whole run carried by {!Ss_engine.Flat}'s
     struct-of-arrays round loop. At sizes up to [check_upto] the same
-    case also runs through the typed sparse executor and every observable
+    case also runs through the dense reference walk and every observable
     is cross-checked, so the scaling rows rest on a verified engine. *)
 
 type row = {
@@ -15,7 +15,7 @@ type row = {
   stabilized : int;  (** last round with a state change or event *)
   seconds : float;  (** flat executor wall-clock (processor time) *)
   checked : bool option;
-      (** [Some ok]: the typed sparse executor ran the same case and
+      (** [Some ok]: the dense reference walk ran the same case and
           agreed ([ok]) on every observable; [None]: size was above the
           cross-check cutoff *)
 }

@@ -92,10 +92,6 @@ type run_outcome = {
   o_final_legitimate : bool;
 }
 
-let mode ~sparse =
-  if sparse then E.Sparse { warm = Some Distributed.pending_expiry }
-  else E.Dense
-
 let reelection_rate r =
   if r.node_rounds = 0 then 0.0
   else 100.0 *. float_of_int r.reelections /. float_of_int r.node_rounds
@@ -104,7 +100,7 @@ let reelection_rate r =
    motion maintainer, and let the engine's motion hook drive both. The
    run's graph is the maintainer's own starting snapshot so every
    per-round graph shares its live position buffer. *)
-let one_run ~sparse ~spec ~regime ~channel ~churn ~dt ~rounds rng =
+let one_run ~spec ~regime ~channel ~churn ~dt ~rounds rng =
   let world = Scenario.build rng spec in
   let positions =
     match Graph.positions world.Scenario.graph with
@@ -176,7 +172,7 @@ let one_run ~sparse ~spec ~regime ~channel ~churn ~dt ~rounds rng =
     done
   in
   let result =
-    E.run ~mode:(mode ~sparse) ~max_rounds:rounds ~quiet_rounds:rounds
+    E.run ~max_rounds:rounds ~quiet_rounds:rounds
       ~channel ?churn ~corrupt:Distributed.corrupt ~motion:hook
       ~on_round:(Monitor.on_round mon) ~probe rng graph
   in
@@ -207,12 +203,12 @@ let one_run ~sparse ~spec ~regime ~channel ~churn ~dt ~rounds rng =
       Legitimacy.is_legitimate Config.basic result.E.graph ~ids assignment;
   }
 
-let measure ?domains ~seed ~runs ~sparse ~spec ~channel ~churn ~dt ~rounds
+let measure ?domains ~seed ~runs ~spec ~channel ~churn ~dt ~rounds
     regime =
   let outcomes =
     Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
         ignore run;
-        one_run ~sparse ~spec ~regime ~channel ~churn ~dt ~rounds rng)
+        one_run ~spec ~regime ~channel ~churn ~dt ~rounds rng)
   in
   let head_lifetime = Summary.create () in
   let reelections = ref 0 in
@@ -246,13 +242,13 @@ let measure ?domains ~seed ~runs ~sparse ~spec ~channel ~churn ~dt ~rounds
 
 let default_spec = Scenario.poisson ~intensity:300.0 ~radius:0.1 ()
 
-let run ?(seed = 42) ?(runs = 5) ?domains ?(sparse = false)
-    ?(spec = default_spec) ?(regimes = default_regimes)
+let run ?(seed = 42) ?(runs = 5) ?domains ?(spec = default_spec)
+    ?(regimes = default_regimes)
     ?(channel = Channel.perfect) ?churn ?(dt = 1.0) ?(rounds = 200) () =
   if dt < 0.0 then invalid_arg "Exp_motion.run: negative dt";
   if rounds < 1 then invalid_arg "Exp_motion.run: need at least one round";
   List.map
-    (measure ?domains ~seed ~runs ~sparse ~spec ~channel ~churn ~dt ~rounds)
+    (measure ?domains ~seed ~runs ~spec ~channel ~churn ~dt ~rounds)
     regimes
 
 let to_table ?(title = "Motion — cluster stability vs speed") rows =
@@ -280,10 +276,9 @@ let to_table ?(title = "Motion — cluster stability vs speed") rows =
          ])
        rows)
 
-let print ?seed ?runs ?domains ?sparse ?spec ?regimes ?channel ?churn ?dt
-    ?rounds () =
+let print ?seed ?runs ?domains ?spec ?regimes ?channel ?churn ?dt ?rounds ()
+    =
   let rows =
-    run ?seed ?runs ?domains ?sparse ?spec ?regimes ?channel ?churn ?dt
-      ?rounds ()
+    run ?seed ?runs ?domains ?spec ?regimes ?channel ?churn ?dt ?rounds ()
   in
   Table.print (to_table rows)

@@ -54,7 +54,6 @@ val run :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?regimes:regime list ->
   ?channel:Ss_radio.Channel.t ->
@@ -63,10 +62,7 @@ val run :
   ?rounds:int ->
   unit ->
   row list
-(** [sparse] switches to dirty-set execution with the
-    {!Ss_cluster.Distributed.pending_expiry} warm hook — bit-identical
-    rows, less wall-clock when the fleet's moving fringe is small.
-    [channel] and [churn] compose with motion: lossy delivery and
+(** [channel] and [churn] compose with motion: lossy delivery and
     discrete churn events ride on top of the continuous rewiring. *)
 
 val to_table : ?title:string -> row list -> Ss_stats.Table.t
@@ -75,7 +71,6 @@ val print :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?sparse:bool ->
   ?spec:Scenario.spec ->
   ?regimes:regime list ->
   ?channel:Ss_radio.Channel.t ->

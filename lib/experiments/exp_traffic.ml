@@ -8,10 +8,10 @@
    lossy/bursty channels on both planes. We record delivery ratio,
    end-to-end latency, retry/reroute counts, the delivery-ratio
    dip-and-recovery around the burst (by birth cohort), and
-   energy-fairness of the believed-head duty. The sweep runs on the
-   domain pool; a verification entry point replays one cell under the
-   typed sparse executor and the flat executor and demands bit-identical
-   workload observables. *)
+   energy-fairness of the believed-head duty. The sweep runs on the flat
+   executor over the domain pool; a verification entry point replays one
+   cell under the dense reference walk and the flat executor and demands
+   bit-identical workload observables. *)
 
 module Graph = Ss_topology.Graph
 module Rng = Ss_prng.Rng
@@ -30,13 +30,6 @@ module E = Ss_engine.Engine.Make (P)
 module F = Ss_engine.Flat.Make (P)
 
 let quiet_rounds = Distributed.default_params.Distributed.cache_ttl + 2
-
-type executor = Dense | Sparse | Flat
-
-let executor_label = function
-  | Dense -> "dense"
-  | Sparse -> "sparse"
-  | Flat -> "flat"
 
 type load = { load_label : string; rate : float }
 
@@ -151,7 +144,9 @@ let plan_of ~burst ~burst_round ~rejoin_round ~fraction w =
       else [])
     @ [ W.churn_feed w ])
 
-let run_one ~executor ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
+(* One run: the flat executor, or with [~dense] the typed reference walk
+   (the verification's specification). *)
+let run_one ~dense ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
     ~fraction ~energy ~rate ~channel rng =
   let world = Scenario.build rng spec in
   let graph = world.Scenario.graph in
@@ -175,37 +170,28 @@ let run_one ~executor ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
   let churn = plan_of ~burst ~burst_round ~rejoin_round ~fraction w in
   let max_rounds = rounds + ttl + 8 in
   let converged, states, alive =
-    match executor with
-    | Dense ->
-        let r =
-          E.run ~mode:E.Dense ~channel ~quiet_rounds ~max_rounds ~churn
-            ~workload:(W.typed_hook w) rng graph
-        in
-        (r.E.converged, r.E.states, r.E.alive)
-    | Sparse ->
-        let r =
-          E.run
-            ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-            ~channel ~quiet_rounds ~max_rounds ~churn
-            ~workload:(W.typed_hook w) rng graph
-        in
-        (r.E.converged, r.E.states, r.E.alive)
-    | Flat ->
-        let r =
-          F.run ~channel ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w)
-            rng graph
-        in
-        (r.F.converged, r.F.states, r.F.alive)
+    if dense then
+      let r =
+        E.run ~channel ~quiet_rounds ~max_rounds ~churn
+          ~workload:(W.typed_hook w) rng graph
+      in
+      (r.E.converged, r.E.states, r.E.alive)
+    else
+      let r =
+        F.run ~channel ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w)
+          rng graph
+      in
+      (r.F.converged, r.F.states, r.F.alive)
   in
   (w, converged, states, alive)
 
-let measure ?domains ~seed ~runs ~executor ~spec ~rounds ~ttl ~window
+let measure ?domains ~seed ~runs ~spec ~rounds ~ttl ~window
     ~burst_round ~rejoin_round ~fraction ~energy cell =
   let outcomes =
     Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
         ignore run;
         let w, converged, _states, _alive =
-          run_one ~executor ~spec ~rounds ~ttl ~burst:cell.c_burst
+          run_one ~dense:false ~spec ~rounds ~ttl ~burst:cell.c_burst
             ~burst_round ~rejoin_round ~fraction ~energy ~rate:cell.c_load.rate
             ~channel:cell.c_chan.chan rng
         in
@@ -287,8 +273,8 @@ let measure ?domains ~seed ~runs ~executor ~spec ~rounds ~ttl ~window
 let default_spec = Scenario.poisson ~intensity:1000.0 ~radius:0.06 ()
 let default_energy = Some W.default_energy
 
-let run ?(seed = 42) ?(runs = 3) ?domains ?(executor = Sparse)
-    ?(spec = default_spec) ?(loads = default_loads)
+let run ?(seed = 42) ?(runs = 3) ?domains ?(spec = default_spec)
+    ?(loads = default_loads)
     ?(channels = default_channels) ?(bursts = [ false; true ])
     ?(rounds = 220) ?(ttl = 48) ?(window = 20)
     ?(burst_round = default_burst_round)
@@ -300,7 +286,7 @@ let run ?(seed = 42) ?(runs = 3) ?domains ?(executor = Sparse)
         (fun c_chan ->
           List.map
             (fun c_burst ->
-              measure ?domains ~seed ~runs ~executor ~spec ~rounds ~ttl
+              measure ?domains ~seed ~runs ~spec ~rounds ~ttl
                 ~window ~burst_round ~rejoin_round ~fraction ~energy
                 { c_load; c_chan; c_burst })
             bursts)
@@ -357,8 +343,8 @@ type verification = {
   v_latency_mean : float;
 }
 
-(* Replay run 0 of the heavy-load / lossy / burst cell under the typed
-   sparse executor and the flat executor and compare every workload
+(* Replay run 0 of the heavy-load / lossy / burst cell under the dense
+   reference walk and the flat executor and compare every workload
    observable bit for bit (Workload.equal) plus the protocol states. The
    acceptance gate for `repro traffic`. *)
 let verify ?(seed = 42) ?(spec = default_spec) ?(rounds = 220) ?(ttl = 48)
@@ -367,28 +353,28 @@ let verify ?(seed = 42) ?(spec = default_spec) ?(rounds = 220) ?(ttl = 48)
     ?(fraction = default_burst_fraction) ?(energy = default_energy)
     ?(rate = 8.0) ?(channel = Channel.bernoulli 0.9) () =
   let stream () = (Runner.streams ~seed ~runs:1).(0) in
-  let go executor =
-    run_one ~executor ~spec ~rounds ~ttl ~burst:true ~burst_round
-      ~rejoin_round ~fraction ~energy ~rate ~channel (stream ())
+  let go ~dense =
+    run_one ~dense ~spec ~rounds ~ttl ~burst:true ~burst_round ~rejoin_round
+      ~fraction ~energy ~rate ~channel (stream ())
   in
-  let ws, _, states_s, alive_s = go Sparse in
-  let wf, _, states_f, alive_f = go Flat in
-  let w_eq = W.equal ws wf in
+  let wd, _, states_d, alive_d = go ~dense:true in
+  let wf, _, states_f, alive_f = go ~dense:false in
+  let w_eq = W.equal wd wf in
   let st_eq =
-    Array.length states_s = Array.length states_f
-    && Array.for_all2 P.equal_state states_s states_f
-    && alive_s = alive_f
+    Array.length states_d = Array.length states_f
+    && Array.for_all2 P.equal_state states_d states_f
+    && alive_d = alive_f
   in
-  let totals = W.totals ws in
+  let totals = W.totals wd in
   let pre, dip, rec_at =
-    dip_recovery ~burst_round ~window (W.cohorts ~window ws)
+    dip_recovery ~burst_round ~window (W.cohorts ~window wd)
   in
   {
     v_agree = w_eq && st_eq;
     v_detail =
-      (if w_eq && st_eq then "sparse == flat (workload planes and states)"
+      (if w_eq && st_eq then "dense == flat (workload planes and states)"
        else if w_eq then "workload agrees but protocol states diverge"
-       else "workload observables diverge between sparse and flat");
+       else "workload observables diverge between dense and flat");
     v_pre = pre;
     v_dip = dip;
     v_recovered_at = rec_at;
@@ -398,10 +384,10 @@ let verify ?(seed = 42) ?(spec = default_spec) ?(rounds = 220) ?(ttl = 48)
     v_latency_mean = Summary.mean totals.W.latency;
   }
 
-let print ?seed ?runs ?domains ?executor ?spec ?loads ?channels ?bursts
-    ?rounds ?ttl ?window ?burst_round ?rejoin_round ?fraction ?energy () =
+let print ?seed ?runs ?domains ?spec ?loads ?channels ?bursts ?rounds ?ttl
+    ?window ?burst_round ?rejoin_round ?fraction ?energy () =
   let rows =
-    run ?seed ?runs ?domains ?executor ?spec ?loads ?channels ?bursts ?rounds
-      ?ttl ?window ?burst_round ?rejoin_round ?fraction ?energy ()
+    run ?seed ?runs ?domains ?spec ?loads ?channels ?bursts ?rounds ?ttl
+      ?window ?burst_round ?rejoin_round ?fraction ?energy ()
   in
   Table.print (to_table rows)

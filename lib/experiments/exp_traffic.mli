@@ -8,10 +8,6 @@ module P :
     with type state = Ss_cluster.Distributed.state
      and type message = Ss_cluster.Distributed.message
 
-type executor = Dense | Sparse | Flat
-
-val executor_label : executor -> string
-
 type load = { load_label : string; rate : float }
 
 val default_loads : load list
@@ -69,7 +65,6 @@ val run :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?executor:executor ->
   ?spec:Scenario.spec ->
   ?loads:load list ->
   ?channels:chan list ->
@@ -83,14 +78,14 @@ val run :
   ?energy:Ss_traffic.Workload.energy_model option ->
   unit ->
   row list
-(** The sweep: one row per load x channel x burst cell, runs replicated
-    on the domain pool. [rounds] is the last offered round; runs extend
-    by [ttl] so every message resolves. *)
+(** The sweep: one row per load x channel x burst cell, each run on the
+    flat executor, runs replicated on the domain pool. [rounds] is the
+    last offered round; runs extend by [ttl] so every message resolves. *)
 
 val to_table : ?title:string -> row list -> Ss_stats.Table.t
 
 type verification = {
-  v_agree : bool;  (** sparse and flat bit-identical on every observable *)
+  v_agree : bool;  (** dense and flat bit-identical on every observable *)
   v_detail : string;
   v_pre : float;  (** pre-burst cohort delivery ratio *)
   v_dip : float;  (** worst post-burst cohort ratio *)
@@ -115,8 +110,8 @@ val verify :
   ?channel:Ss_radio.Channel.t ->
   unit ->
   verification
-(** Replay one heavy-load lossy burst cell under the typed sparse
-    executor and the flat executor from the same run stream; compare the
+(** Replay one heavy-load lossy burst cell under the dense reference
+    walk and the flat executor from the same run stream; compare the
     workload planes ({!Ss_traffic.Workload.equal}), protocol states and
     liveness bit for bit, and report the cell's dip-and-recovery. *)
 
@@ -124,7 +119,6 @@ val print :
   ?seed:int ->
   ?runs:int ->
   ?domains:int ->
-  ?executor:executor ->
   ?spec:Scenario.spec ->
   ?loads:load list ->
   ?channels:chan list ->

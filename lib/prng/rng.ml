@@ -16,8 +16,8 @@ let split_n t n =
    point in seed space; [subkey] derives children by index through the
    SplitMix64 finalizer, so a draw keyed by (seed, i, j, ...) is a pure
    function of the path — independent of how many draws happened elsewhere.
-   This is what lets the sparse executor skip work without perturbing any
-   other consumer's stream. *)
+   This is what lets the flat executor's frontier skip work without
+   perturbing any other consumer's stream. *)
 
 type key = int64
 

@@ -29,7 +29,7 @@ val split_n : t -> int -> t array
     the order, number or presence of draws on any other path. Use these
     wherever a consumer must get the same randomness whether or not other
     consumers ran (per-edge channel loss, per-node protocol streams under
-    sparse execution). *)
+    frontier execution). *)
 
 type key = int64
 

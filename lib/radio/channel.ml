@@ -28,7 +28,7 @@
      draw, and the state within the epoch is located by walking keyed
      geometric sojourn lengths — so any round's state (and hence any
      round's plan) is reconstructible without simulating the chain from
-     round zero, which is what keeps the sparse executor's delivery-diff
+     round zero, which is what keeps the flat executor's delivery-diff
      replay valid.
 
    All sampling is counter-keyed: every loss decision is a pure function of
@@ -37,7 +37,7 @@
    (round key, node), through Rng.subkey / Rng.key_* only — never a
    sequential draw from a shared generator. This makes the delivery
    pattern independent of which pairs are queried and in what order, which
-   is what lets the sparse executor skip quiet nodes without perturbing
+   is what lets the flat executor skip quiet nodes without perturbing
    anyone's losses, and lets any round's plan be re-evaluated after the
    fact (the previous round's plan is reconstructible from its key and
    round number). *)

@@ -11,8 +11,8 @@
     {!Ss_prng.Rng.key} and every loss decision is a pure function of
     (key, src, dst) — per-node slot draws of (key, node) — so the delivery
     pattern does not depend on which pairs are queried, in what order, or
-    whether any pair is queried at all. Consequently sparse and dense
-    executions of the same run see bit-identical losses, and any past
+    whether any pair is queried at all. Consequently frontier (flat) and
+    dense executions of the same run see bit-identical losses, and any past
     round's plan can be re-evaluated from its key. *)
 
 type t
@@ -59,7 +59,7 @@ val bursty : seed:int -> tau_good:float -> tau_bad:float -> p_fade:float -> p_re
     fixed-length epochs, each epoch opens from a keyed stationary draw and
     the in-epoch state is located by walking keyed geometric sojourn
     lengths — O(epoch length) key derivations worst case, no dependence on
-    earlier rounds — so plan replay and the sparse delivery-diff stay
+    earlier rounds — so plan replay and the flat delivery-diff stay
     valid. The epoch renewal truncates sojourns at epoch boundaries,
     slightly shortening very long bursts; with sojourn means well under the
     epoch length (64 rounds) the distortion is negligible. Raises
@@ -88,14 +88,14 @@ val bursty_bad : t -> src:int -> dst:int -> round:int -> bool
 
 val deterministic : t -> bool
 (** True when the plan is the same every round ([perfect] — note that
-    [bernoulli 1.0] normalizes to it). The sparse executor uses this to
+    [bernoulli 1.0] normalizes to it). The flat executor uses this to
     skip per-edge delivery-diff checks on channels that cannot change a
     node's inputs between rounds. *)
 
 val position_dependent : t -> bool
 (** True when a plan's answers read node positions ([jammed] — the only
     model where geometry, not just identity, decides delivery). Under
-    continuous motion the sparse executor must treat a moved node as
+    continuous motion the flat executor must treat a moved node as
     disturbed on such channels even when no edge flipped: its deliveries
     can change with no structural signal. Position-independent models
     need no such marking — their plans are pure in (key, round, src,
@@ -118,7 +118,7 @@ val round_plan :
     the plan and independent of query order or coverage — [Slotted]
     memoizes its slot assignment per plan, so all queries within a round
     see consistent collisions. Rebuilding a plan from the same key and
-    round replays the identical window (this is how the sparse executor
+    round replays the identical window (this is how the flat executor
     diffs a round's deliveries against the previous round's without
     storing them). *)
 

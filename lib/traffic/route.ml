@@ -3,7 +3,7 @@ module D = Ss_cluster.Distributed
 
 (* Views are read only through Distributed's accessors, none of which
    reads a heard stamp or the clock — the cache fields whose dense and
-   sparse evolution differ (DESIGN §9) — which is what makes routing, and
+   flat evolution differ (DESIGN §9) — which is what makes routing, and
    therefore the whole workload, executor-independent (DESIGN §13). *)
 
 let no_via = -1

@@ -11,10 +11,10 @@
 
     The tables are read as {!Ss_cluster.Distributed.view}s, through the
     view accessors only. On the flat executor a view aliases the node's
-    live planes, so a routing decision copies no table; on the typed
-    executors it is {!Ss_cluster.Distributed.view} of the read state.
+    live planes, so a routing decision copies no table; on the dense
+    walk it is {!Ss_cluster.Distributed.view} of the read state.
     No accessor reads a freshness stamp — the one cache field whose
-    dense/sparse evolution differs — so every read path and executor
+    dense/flat evolution differs — so every read path and executor
     sees the same tables.
 
     Selection is deterministic (distance objectives with index

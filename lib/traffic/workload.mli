@@ -17,8 +17,8 @@
     data-frame loss) is counter-keyed from the workload's own seed —
     never the run's sequential generator, never the engine's lanes — so
     attaching a workload perturbs no protocol draw and the same
-    configuration is bit-identical across Dense/Sparse/Flat executors
-    and any domain count ([test/suite_traffic.ml] enforces this
+    configuration is bit-identical on the dense walk and the flat
+    executor at any domain count ([test/suite_traffic.ml] enforces this
     differentially). Routing itself consumes no randomness. *)
 
 type energy_model = {

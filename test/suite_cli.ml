@@ -1,6 +1,8 @@
-(* The repro CLI's argument contract: run and domain counts below one are
-   usage errors — cmdliner's exit 124 with a message naming the option —
-   never an uncaught exception from inside a sweep (exit 125). The
+(* The repro CLI's argument contract: out-of-range numeric values (run,
+   domain and round counts below one, non-positive intensities, delivery
+   probabilities outside [0, 1], negative time steps) are usage errors —
+   cmdliner's exit 124 with a message naming the option — never an
+   uncaught exception from inside a sweep (exit 125). The
    binary is a declared dependency of the test stanza; dune runs the
    suite from the build tree's test directory, where it sits at
    [../bin/repro.exe]. *)
@@ -35,7 +37,8 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let check_usage_error ?jobs_env ~mentions args () =
+let check_usage_error ?jobs_env ?(expected = "positive integer") ~mentions
+    args () =
   let code, err = run_cli ?jobs_env args in
   Alcotest.(check int)
     (Printf.sprintf "exit 124 for %s" (String.concat " " args))
@@ -43,7 +46,7 @@ let check_usage_error ?jobs_env ~mentions args () =
   Alcotest.(check bool)
     (Printf.sprintf "message names %s: %s" mentions err)
     true
-    (contains ~sub:mentions err && contains ~sub:"positive integer" err)
+    (contains ~sub:mentions err && contains ~sub:expected err)
 
 let suite =
   [
@@ -55,4 +58,15 @@ let suite =
       (check_usage_error ~mentions:"--jobs" [ "table2"; "--jobs"; "0" ]);
     Alcotest.test_case "REPRO_JOBS=-1 is a usage error" `Quick
       (check_usage_error ~jobs_env:"-1" ~mentions:"REPRO_JOBS" [ "table2" ]);
+    Alcotest.test_case "--intensity -5 is a usage error" `Quick
+      (check_usage_error ~expected:"positive number" ~mentions:"--intensity"
+         [ "churn"; "--intensity=-5" ]);
+    Alcotest.test_case "--tau 1.5 is a usage error" `Quick
+      (check_usage_error ~expected:"probability in [0, 1]" ~mentions:"--tau"
+         [ "motion"; "--tau"; "1.5" ]);
+    Alcotest.test_case "--dt -1 is a usage error" `Quick
+      (check_usage_error ~expected:"non-negative number" ~mentions:"--dt"
+         [ "motion"; "--dt=-1" ]);
+    Alcotest.test_case "--rounds 0 is a usage error" `Quick
+      (check_usage_error ~mentions:"--rounds" [ "motion"; "--rounds"; "0" ]);
   ]

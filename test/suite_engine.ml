@@ -593,7 +593,7 @@ let test_channel_asymmetric_rates () =
 
 let test_channel_bursty_plan_replay () =
   (* The chain state is a pure function of (channel, edge, round):
-     rebuilding the plan replays the identical window — what the sparse
+     rebuilding the plan replays the identical window — what the flat
      executor's delivery diff relies on. *)
   let g = Builders.complete 5 in
   let channel =

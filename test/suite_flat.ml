@@ -16,14 +16,15 @@
    (d) Repack: [Flat.pack] then [Flat.unpack] is the identity on every
        run-evolved and every [corrupt]-produced state, for every shipped
        algorithm config — the sentinel encodings lose nothing.
-   (e) The hot-path allocation fixes hold: a quiet sparse round and a
-       reuse-mode rebase both allocate O(frontier)/O(diff), not O(n).
+   (e) The hot-path allocation fixes hold: a reuse-mode rebase allocates
+       O(diff), not O(n).
    (f) The view contract: on planes evolved in place and on planes
        scrambled by [corrupt], for every shipped config, [Flat.view b p]
        reads what the typed projection [view (unpack b p)] reads, routes
        identically, and no decision moves when only the heard stamps are
-       overwritten (DESIGN §13's executor-independence argument). A view
-       read allocates O(1) words whatever the degree. *)
+       overwritten (DESIGN §13's executor-independence argument). The
+       ghost-reference count read through views equals the typed count.
+       A view read allocates O(1) words whatever the degree. *)
 
 module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
@@ -141,8 +142,8 @@ let run_case c =
      counter-keyed. *)
   let dense =
     let rng = Rng.create ~seed:c.seed in
-    E.run ~mode:E.Dense ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2
-      ~churn ~corrupt:Distributed.corrupt ?states rng graph
+    E.run ~scheduler ~channel ~max_rounds:40 ~quiet_rounds:2 ~churn
+      ~corrupt:Distributed.corrupt ?states rng graph
   in
   let flat domains =
     let rng = Rng.create ~seed:c.seed in
@@ -317,8 +318,8 @@ let run_sim_case c =
   in
   let dense =
     let rng, g0, hook = setup () in
-    E.run ~mode:E.Dense ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3
-      ~churn ~corrupt:Distributed.corrupt ~motion:hook rng g0
+    E.run ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3 ~churn
+      ~corrupt:Distributed.corrupt ~motion:hook rng g0
   in
   let f1 =
     let rng, g0, hook = setup () in
@@ -394,6 +395,34 @@ let test_channel_domain_pins () =
       Alcotest.(check bool) label true (run_case c))
     [ ("slotted 4-domain identity", 3); ("jammed 4-domain identity", 2) ]
 
+(* A directed pin on the warm plane: on a lossy channel, cache entries
+   age toward their TTL through rounds in which no input changes —
+   exactly the regime where a frontier that stopped stepping warm nodes
+   would freeze early and diverge from the dense walk. Two corruptions,
+   then a crash and rejoin, at every TTL, on a 16-node path under
+   Bernoulli 0.7 loss: with [Flat.warm] forced to false every TTL here
+   diverges (on a perfect channel this plan never leaves a node warm
+   and unstepped). *)
+let test_ttl_expiry_equivalence () =
+  List.iter
+    (fun ttl ->
+      let c =
+        {
+          seed = 4242;
+          graph_kind = 0;
+          size = 16;
+          channel_kind = 1;
+          sched_kind = 0;
+          ttl = ttl - 1;
+          plan = [ (4, 6, 5); (4, 6, 9); (9, 0, 2); (10, 1, 2) ];
+          warm = false;
+        }
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "ttl=%d flat = dense" ttl)
+        true (run_case c))
+    [ 1; 2; 3; 4 ]
+
 (* (d) pack then unpack is the identity — on states evolved through a
    churny run and on corrupt-scrambled ones, for every shipped config
    and for custom global ids. Structural equality, caches included. *)
@@ -432,7 +461,7 @@ let test_repack_roundtrip () =
       in
       let rng = Rng.create ~seed:9 in
       let res =
-        E.run ~mode:E.Dense ~max_rounds:12 ~quiet_rounds:2 ~churn
+        E.run ~max_rounds:12 ~quiet_rounds:2 ~churn
           ~corrupt:Distributed.corrupt rng graph
       in
       let buffers = P.Flat.alloc graph in
@@ -452,41 +481,7 @@ let test_repack_roundtrip () =
         (Array.mapi (fun p st -> Distributed.corrupt rng p st) res.E.states))
     cases
 
-(* (e) Quiet sparse rounds allocate O(frontier), not O(n): the round loop
-   must not shadow-copy the whole state array. Hold a converged path
-   network open with a far-future churn horizon and compare minor-heap
-   words across the same quiet window at two sizes. *)
-let quiet_window_alloc n =
-  let module P = Distributed.Make (struct
-    let params = Distributed.default_params
-  end) in
-  let module E = Engine.Make (P) in
-  let graph = Builders.path n in
-  let churn = Churn.schedule [ (85, [ Churn.Corrupt 0 ]) ] in
-  let w_lo = ref 0.0 and w_hi = ref 0.0 in
-  let on_round info =
-    if info.Engine.round = 40 then w_lo := Gc.minor_words ()
-    else if info.Engine.round = 80 then w_hi := Gc.minor_words ()
-  in
-  let rng = Rng.create ~seed:42 in
-  ignore
-    (E.run
-       ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-       ~max_rounds:90 ~quiet_rounds:2 ~churn ~corrupt:Distributed.corrupt
-       ~on_round rng graph);
-  !w_hi -. !w_lo
-
-let test_sparse_quiet_alloc () =
-  let small = quiet_window_alloc 256 in
-  let big = quiet_window_alloc 2048 in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "quiet-round allocation size-independent (256: %.0f, 2048: %.0f)" small
-       big)
-    true
-    (big < (2.0 *. small) +. 16384.0)
-
-(* And a reuse-mode rebase+snapshot cycle allocates O(diff): patched rows
+(* (e) A reuse-mode rebase+snapshot cycle allocates O(diff): patched rows
    only, never a fresh n-row snapshot. *)
 let rebase_cycle_alloc n =
   let g0 = Builders.path n in
@@ -649,11 +644,23 @@ let run_view_case c =
   let positions = Option.get (Graph.positions g) in
   let b, sc = D.start rng g in
   D.rounds b sc g ~first:1 ~count:c.v_rounds;
+  (* The ghost count through views against the typed count over [unpack],
+     everyone alive and with every third node dead. *)
+  let ghosts_agree () =
+    List.for_all
+      (fun alive ->
+        Distributed.view_ghost_references ~alive (P.Flat.view b)
+        = Distributed.ghost_references ~alive
+            (Array.init n (P.Flat.unpack b)))
+      [ Array.make n true; Array.init n (fun p -> p mod 3 <> 1) ]
+  in
+  let evolved_ghosts = ghosts_agree () in
   for _ = 1 to c.v_corrupt do
     let p = Rng.int rng n in
     P.Flat.pack b p (Distributed.corrupt rng p (P.Flat.unpack b p));
     D.refresh b sc p
   done;
+  let scrambled_ghosts = ghosts_agree () in
   D.rounds b sc g ~first:(c.v_rounds + 1) ~count:c.v_after;
   (* The same states, every stamp overwritten, packed into fresh planes. *)
   let stamped = P.Flat.alloc g in
@@ -685,7 +692,8 @@ let run_view_case c =
           node (),
           List.init (Rng.int rng 3) (fun _ -> Rng.int rng n) ))
   in
-  readers_agree
+  evolved_ghosts && scrambled_ghosts && ghosts_agree ()
+  && readers_agree
   && List.for_all
        (fun q ->
          let d = route (P.Flat.view b) q in
@@ -804,8 +812,8 @@ let suite =
       test_channel_domain_pins;
     Alcotest.test_case "pack/unpack round-trip, all configs" `Quick
       test_repack_roundtrip;
-    Alcotest.test_case "sparse quiet rounds allocate O(frontier)" `Quick
-      test_sparse_quiet_alloc;
+    Alcotest.test_case "ttl expiry: flat = dense" `Quick
+      test_ttl_expiry_equivalence;
     Alcotest.test_case "reuse-mode rebase allocates O(diff)" `Quick
       test_reuse_rebase_alloc;
   ]

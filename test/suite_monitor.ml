@@ -322,7 +322,7 @@ let test_campaign_good_cell_zero_post_recovery () =
      corruption burst) recovers and reports zero post-recovery
      violations. *)
   let row =
-    Exp_campaign.run_cell ~seed:11 ~runs:2 ~sparse:false ~spec:campaign_spec
+    Exp_campaign.run_cell ~seed:11 ~runs:2 ~spec:campaign_spec
       ~max_rounds:2_000 ~burst_round:40 ~horizon:Exp_campaign.default_horizon
       good_cell
   in
@@ -340,7 +340,7 @@ let test_campaign_starved_cell_still_changing () =
   (* Acceptance: a round budget far below cold-start convergence must be
      classified Still_changing, never a silent non-convergence. *)
   let row =
-    Exp_campaign.run_cell ~seed:11 ~runs:2 ~sparse:false ~spec:campaign_spec
+    Exp_campaign.run_cell ~seed:11 ~runs:2 ~spec:campaign_spec
       ~max_rounds:4 ~burst_round:40 ~horizon:Exp_campaign.default_horizon
       good_cell
   in

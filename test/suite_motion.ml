@@ -1,16 +1,13 @@
 (* The motion maintainer's proof obligations, as a differential battery.
+   (Executors under motion — flat ≡ dense, including on a jammed channel
+   where pure movement changes deliveries — are suite_flat's battery (c).)
 
    (a) Incremental maintenance ≡ full rebuild: over random
        (fleet x mobility model x dt x radius) cases, the graph held by
        [Ss_topology.Motion] after every step must equal a from-scratch
        [Graph.unit_disk] over positions tracked independently through the
        fleet's move callbacks — sorted adjacency rows and all.
-   (b) Sparse ≡ dense under motion: when per-round edge diffs feed the
-       engine's dirty frontier through the motion hook, the sparse
-       executor must agree with the dense reference on every observable,
-       including on a position-dependent (jammed) channel where pure
-       movement — no edge flip — can change deliveries.
-   (c) Edge-diff soundness: each flush's diff applied to round r's edge
+   (b) Edge-diff soundness: each flush's diff applied to round r's edge
        set yields round r+1's edge set, the added/removed lists are
        disjoint canonical [p < q] edges with at least one moved endpoint,
        and [moved] matches exactly the nodes the fleet reported.
@@ -35,7 +32,7 @@ module Fleet = Ss_mobility.Fleet
 module Distributed = Ss_cluster.Distributed
 module Rng = Ss_prng.Rng
 
-(* ------------------------------------------------- (a) + (c): maintainer *)
+(* ------------------------------------------------- (a) + (b): maintainer *)
 
 type walk_case = {
   w_seed : int;
@@ -160,167 +157,6 @@ let prop_incremental_equals_rebuild =
 let prop_diff_soundness =
   QCheck.Test.make ~name:"edge diff applied to round r = round r+1"
     ~count:500 arb_walk (fun c -> drive c check_diff)
-
-(* ------------------------------------------- (b): sparse = dense + motion *)
-
-type sim_case = {
-  s_seed : int;
-  s_n : int;
-  s_model : int;
-  s_channel : int; (* 0 perfect / 1 bernoulli / 2 jammed / 3 slotted *)
-  s_sched : int;
-  s_ttl : int;
-  s_dt : int;
-  s_plan : (int * int * int) list; (* (round, event kind, victim) *)
-}
-
-let jam_region = Bbox.make ~min_x:0.2 ~min_y:0.2 ~max_x:0.8 ~max_y:0.8
-
-let build_channel c =
-  match c.s_channel mod 4 with
-  | 0 -> Channel.perfect
-  | 1 -> Channel.bernoulli 0.7
-  | 2 -> Channel.jammed ~tau:0.9 ~region:jam_region ~jam_tau:0.3
-  | _ -> Channel.slotted ~slots:4
-
-let build_scheduler c =
-  match c.s_sched mod 3 with
-  | 0 -> Scheduler.Synchronous
-  | 1 -> Scheduler.Sequential
-  | _ -> Scheduler.Random_order
-
-(* Node events only: a random link event names an edge of the initial
-   graph, but motion may have rebased that edge away by the time the plan
-   fires, and [Dynamic] (correctly) rejects non-base links. Link flapping
-   on a static base is suite_sparse's job. *)
-let build_plan c =
-  let n = max 4 c.s_n in
-  Churn.schedule
-    (List.map
-       (fun (round, kind, victim) ->
-         let v = victim mod n in
-         let ev =
-           match kind mod 5 with
-           | 0 -> Churn.Crash v
-           | 1 -> Churn.Join v
-           | 2 -> Churn.Sleep v
-           | 3 -> Churn.Wake v
-           | _ -> Churn.Corrupt v
-         in
-         (1 + (round mod 10), [ ev ]))
-       c.s_plan)
-
-let run_sim_case c =
-  let module P = Distributed.Make (struct
-    let params =
-      { Distributed.default_params with cache_ttl = 1 + (c.s_ttl mod 4) }
-  end) in
-  let module E = Engine.Make (P) in
-  let model = build_model (c.s_model mod 5) in
-  let dt = dts.(c.s_dt mod Array.length dts) in
-  let n = max 4 c.s_n in
-  let radius = 0.3 in
-  let channel = build_channel c in
-  let scheduler = build_scheduler c in
-  let churn = build_plan c in
-  let exec mode =
-    (* Fresh same-seeded generators per execution: deployment, fleet
-       sub-streams and every sequential engine draw line up by
-       construction; everything in-round is counter-keyed. *)
-    let rng = Rng.create ~seed:c.s_seed in
-    let start = Array.init n (fun _ -> Bbox.sample rng Bbox.unit_square) in
-    let fleet = Fleet.create rng ~model ~box:Bbox.unit_square start in
-    let motion = Motion.create ~radius start in
-    let hook ~round:_ =
-      let moved =
-        Fleet.step_moved fleet dt (fun i p -> Motion.move motion i p)
-      in
-      if moved = 0 then None
-      else
-        (* Report even a flip-free flush: on a position-dependent channel
-           the moved nodes alone must reach the sparse frontier. *)
-        let diff = Motion.flush motion in
-        Some (Motion.graph motion, diff)
-    in
-    E.run ~mode ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3 ~churn
-      ~corrupt:Distributed.corrupt ~motion:hook rng (Motion.graph motion)
-  in
-  let dense = exec E.Dense in
-  let sparse = exec (E.Sparse { warm = Some Distributed.pending_expiry }) in
-  let states_agree =
-    Array.for_all2
-      (fun a b -> P.equal_state a b)
-      dense.E.states sparse.E.states
-  in
-  states_agree
-  && dense.E.rounds = sparse.E.rounds
-  && dense.E.converged = sparse.E.converged
-  && dense.E.last_change_round = sparse.E.last_change_round
-  && dense.E.change_history = sparse.E.change_history
-  && dense.E.alive = sparse.E.alive
-  && dense.E.bursts = sparse.E.bursts
-  && dense.E.faults = sparse.E.faults
-  && Graph.equal dense.E.graph sparse.E.graph
-
-let print_sim c =
-  Printf.sprintf
-    "seed=%d n=%d model=%d channel=%d sched=%d ttl=%d dt=%.2f plan=[%s]"
-    c.s_seed (max 4 c.s_n) (c.s_model mod 5) (c.s_channel mod 4)
-    (c.s_sched mod 3) (1 + (c.s_ttl mod 4))
-    dts.(c.s_dt mod Array.length dts)
-    (String.concat "; "
-       (List.map
-          (fun (r, k, v) -> Printf.sprintf "(%d,%d,%d)" r k v)
-          c.s_plan))
-
-let gen_sim =
-  QCheck.Gen.(
-    map
-      (fun ((s_seed, s_n, s_model), (s_channel, s_sched, s_ttl), (s_dt, s_plan))
-         ->
-        { s_seed; s_n; s_model; s_channel; s_sched; s_ttl; s_dt; s_plan })
-      (triple
-         (triple (int_range 0 999_999) (int_range 4 30) (int_range 0 4))
-         (triple (int_range 0 3) (int_range 0 2) (int_range 0 3))
-         (pair (int_range 0 3)
-            (list_size (int_range 0 8)
-               (triple (int_range 0 9) (int_range 0 4) (int_range 0 999))))))
-
-let shrink_sim c yield =
-  QCheck.Shrink.list c.s_plan (fun s_plan -> yield { c with s_plan });
-  if c.s_n > 4 then
-    QCheck.Shrink.int c.s_n (fun s_n -> if s_n >= 4 then yield { c with s_n })
-
-let arb_sim = QCheck.make ~print:print_sim ~shrink:shrink_sim gen_sim
-
-let prop_sparse_equals_dense_motion =
-  QCheck.Test.make
-    ~name:"sparse run = dense run under motion (all observables)" ~count:300
-    arb_sim run_sim_case
-
-(* A directed pin on the position-dependent path: a jammed channel, a
-   mobile fleet and zero churn — deliveries flip only because nodes drift
-   across the jam boundary, so an executor that marked flipped edges but
-   not moved nodes would diverge here. *)
-let test_jammed_motion_equivalence () =
-  List.iter
-    (fun s_seed ->
-      let c =
-        {
-          s_seed;
-          s_n = 24;
-          s_model = 4;
-          s_channel = 2;
-          s_sched = 0;
-          s_ttl = 1;
-          s_dt = 3;
-          s_plan = [];
-        }
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d jammed equivalence" s_seed)
-        true (run_sim_case c))
-    [ 7; 8; 9; 10 ]
 
 (* ------------------------------------------------------------- directed *)
 
@@ -447,7 +283,6 @@ let qcheck_cases =
     [
       prop_incremental_equals_rebuild;
       prop_diff_soundness;
-      prop_sparse_equals_dense_motion;
     ]
 
 let suite =
@@ -460,8 +295,6 @@ let suite =
       test_grid_index_move;
     Alcotest.test_case "dynamic rebase drops stale down-marks" `Quick
       test_dynamic_rebase;
-    Alcotest.test_case "jammed channel: movement-only equivalence" `Quick
-      test_jammed_motion_equivalence;
     Alcotest.test_case "motion sweep is domain-count independent" `Slow
       test_exp_motion_domain_independence;
   ]

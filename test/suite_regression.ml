@@ -97,8 +97,9 @@ let test_maxmin_run () =
 
    Values re-pinned when the engine moved channel loss, the random-order
    daemon and per-node handle generators onto counter-keyed streams (the
-   sparse-execution determinism contract): the same distributions, drawn
-   from per-(round, node) keys instead of one shared sequential stream. *)
+   determinism contract frontier execution rests on): the same
+   distributions, drawn from per-(round, node) keys instead of one shared
+   sequential stream. *)
 
 let check_selfstab_golden ~domains =
   let spec = E.Scenario.poisson ~intensity:80.0 ~radius:0.15 () in

@@ -2,7 +2,7 @@
 
    (a) The measured observable — stabilization round, plus round count,
        convergence and change history — is executor-independent: dense ≡
-       sparse ≡ flat on small instances, for both namings (DAG names,
+       flat on small instances, for both namings (DAG names,
        adversarial flat ids) and both channel regimes, and the flat
        executor agrees with itself at 1 vs 4 domains.
    (b) The adversarial generators are permutations with the structure
@@ -44,13 +44,7 @@ let run_all ~algo ~ids ~channel ~seed graph =
   let module F = Flat.Make (P) in
   let max_rounds = 500 in
   let dense =
-    En.run ~mode:En.Dense ~channel ~quiet_rounds:quiet ~max_rounds
-      (Rng.create ~seed) graph
-  in
-  let sparse =
-    En.run
-      ~mode:(En.Sparse { warm = Some Distributed.pending_expiry })
-      ~channel ~quiet_rounds:quiet ~max_rounds (Rng.create ~seed) graph
+    En.run ~channel ~quiet_rounds:quiet ~max_rounds (Rng.create ~seed) graph
   in
   let flat1 =
     F.run ~channel ~quiet_rounds:quiet ~max_rounds ~domains:1
@@ -68,14 +62,6 @@ let run_all ~algo ~ids ~channel ~seed graph =
       o_history = dense.En.change_history;
     }
   in
-  let obs_sparse =
-    {
-      o_rounds = sparse.En.rounds;
-      o_converged = sparse.En.converged;
-      o_stab = sparse.En.last_change_round;
-      o_history = sparse.En.change_history;
-    }
-  in
   let obs_flat =
     {
       o_rounds = flat1.F.rounds;
@@ -86,21 +72,18 @@ let run_all ~algo ~ids ~channel ~seed graph =
   in
   let states_agree =
     Array.for_all2 (fun a b -> P.equal_state a b) dense.En.states
-      sparse.En.states
-    && Array.for_all2 (fun a b -> P.equal_state a b) dense.En.states
-         flat1.F.states
+      flat1.F.states
   in
   let domains_agree = flat1.F.states = flat4.F.states in
-  (obs_dense, obs_sparse, obs_flat, states_agree, domains_agree)
+  (obs_dense, obs_flat, states_agree, domains_agree)
 
 let check_case name ~algo ~with_ids ~channel ~seed =
   let graph = Builders.geometric_grid ~cols:7 ~rows:7 ~radius:0.2 in
   let ids = if with_ids then Some (Adversarial.bfs_ids graph) else None in
-  let d, s, f, states_agree, domains_agree =
+  let d, f, states_agree, domains_agree =
     run_all ~algo ~ids ~channel ~seed graph
   in
   Alcotest.(check bool) (name ^ ": converged") true d.o_converged;
-  Alcotest.(check bool) (name ^ ": dense = sparse") true (d = s);
   Alcotest.(check bool) (name ^ ": dense = flat") true (d = f);
   Alcotest.(check bool) (name ^ ": states agree") true states_agree;
   Alcotest.(check bool) (name ^ ": flat 1 = 4 domains") true domains_agree

@@ -1,13 +1,13 @@
 (* The data-plane workload's proof obligations.
 
    (a) Executor independence: the same workload configuration attached to
-       the dense, sparse and flat (1 and 4 domains) executors is
+       the dense and flat (1 and 4 domains) executors is
        bit-identical on every observable — per-message planes, per-round
        series, counters, batteries — over random geometric worlds with
        lossy data channels, a crash/rejoin burst and energy drain
        (QCheck; this is the argument that no view accessor reads a
-       freshness stamp, tested end to end — typed executors read
-       [Distributed.view] of their states, the flat one aliases its
+       freshness stamp, tested end to end — the dense walk reads
+       [Distributed.view] of its states, the flat executor aliases its
        planes).
    (b) Directed pins: a message re-routes around its crashed relay and
        still delivers (monitor invalidation); an unreachable destination
@@ -80,7 +80,7 @@ let test_retry_after_relay_crash () =
   in
   let rng = Rng.create ~seed:3 in
   ignore
-    (E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:60 ~churn
+    (E.run ~quiet_rounds ~max_rounds:60 ~churn
        ~workload:(W.typed_hook w) rng g);
   let t = W.totals w in
   Alcotest.(check bool) "offered some traffic" true (t.W.offered > 0);
@@ -112,7 +112,7 @@ let test_ttl_expiry () =
   let w = W.create cfg ~n:4 in
   let rng = Rng.create ~seed:9 in
   ignore
-    (E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:30
+    (E.run ~quiet_rounds ~max_rounds:30
        ~workload:(W.typed_hook w) rng g);
   let t = W.totals w in
   let s = W.series w in
@@ -154,7 +154,7 @@ let test_backoff_schedule () =
   let w = W.create cfg ~n:2 in
   let rng = Rng.create ~seed:1 in
   ignore
-    (E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:40
+    (E.run ~quiet_rounds ~max_rounds:40
        ~workload:(W.typed_hook w) rng g);
   let t = W.totals w in
   let s = W.series w in
@@ -212,7 +212,7 @@ let build_world c =
   in
   Graph.unit_disk ~radius:c.w_radius positions
 
-type exec = Dense | Sparse | FlatD of int
+type exec = Dense | FlatD of int
 
 let run_exec c g exec =
   let cfg =
@@ -245,16 +245,8 @@ let run_exec c g exec =
     match exec with
     | Dense ->
         let r =
-          E.run ~mode:E.Dense ~quiet_rounds ~max_rounds:70 ~churn
-            ~workload:(W.typed_hook w) rng g
-        in
-        (r.E.states, r.E.alive, r.E.rounds)
-    | Sparse ->
-        let r =
-          E.run
-            ~mode:(E.Sparse { warm = Some Distributed.pending_expiry })
-            ~quiet_rounds ~max_rounds:70 ~churn
-            ~workload:(W.typed_hook w) rng g
+          E.run ~quiet_rounds ~max_rounds:70 ~churn ~workload:(W.typed_hook w)
+            rng g
         in
         (r.E.states, r.E.alive, r.E.rounds)
     | FlatD domains ->
@@ -272,15 +264,14 @@ let same (wa, sa, la, ra) (wb, sb, lb, rb) =
   && la = lb
 
 let prop_workload_executor_independent =
-  QCheck.Test.make ~count:12 ~name:"workload: dense = sparse = flat x{1,4}"
+  QCheck.Test.make ~count:12 ~name:"workload: dense = flat x{1,4}"
     (QCheck.make ~print:print_wcase gen_wcase)
     (fun c ->
       let g = build_world c in
       let dense = run_exec c g Dense in
-      let sparse = run_exec c g Sparse in
       let flat1 = run_exec c g (FlatD 1) in
       let flat4 = run_exec c g (FlatD 4) in
-      same dense sparse && same dense flat1 && same dense flat4)
+      same dense flat1 && same dense flat4)
 
 (* -------------------------------- (c): idle workload hook allocation *)
 

@@ -13,7 +13,6 @@ let () =
       ("metrics", Suite_metrics.suite);
       ("maxmin", Suite_maxmin.suite);
       ("engine", Suite_engine.suite);
-      ("sparse", Suite_sparse.suite);
       ("flat", Suite_flat.suite);
       ("stabilization", Suite_stabilization.suite);
       ("adversary", Suite_adversary.suite);
