@@ -14,10 +14,10 @@
    arrangement where the number measures the executor.
 
    Before any timing is reported the flat executor is cross-checked
-   against the dense reference walk: same round count, same per-round
-   changed-node history, same burst/recovery attribution, same final
-   states modulo [equal_state], and the flat run must be bit-identical at
-   1 and 2 domains. A divergence exits non-zero.
+   against the dense reference walk (Engine.divergence, states modulo
+   [equal_state]), and the flat run must be bit-identical at 1 and 2
+   domains (Engine.divergence with structural equality). A divergence
+   prints its first divergent field and exits non-zero.
 
    One rep is one process; a point takes the minimum over its reps —
    on a busy shared box CPU-time noise is strictly additive (cache and
@@ -35,35 +35,21 @@ module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
 module Channel = Ss_radio.Channel
 module Rng = Ss_prng.Rng
-module Churn = Ss_engine.Churn
+module Engine = Ss_engine.Engine
 module Distributed = Ss_cluster.Distributed
 
 module P = Distributed.Make (struct
   let params = Distributed.default_params
 end)
 
-module E = Ss_engine.Engine.Make (P)
+module E = Engine.Make (P)
 module F = Ss_engine.Flat.Make (P)
 
 let seed = 2026
 let quiet_rounds = Distributed.default_params.Distributed.cache_ttl + 2
 
-(* Average unit-disk degree ~7 at any scale. *)
-let radius_for n = sqrt (7.0 /. (Float.pi *. float_of_int n))
-
-(* Victims stride across the id space so bursts land in different
-   regions; each burst is one crash with the rejoin half a spacing
-   later. *)
-let plan ~bursts ~spacing ~first n =
-  Churn.schedule
-    (List.concat
-       (List.init bursts (fun i ->
-            let v = 997 * (i + 1) mod n in
-            let r = first + (i * spacing) in
-            [
-              (r, [ Churn.Crash v ]);
-              (r + (spacing / 2), [ Churn.Join v ]);
-            ])))
+let radius_for = Ss_experiments.Exp_flat.radius_for
+let plan = Ss_experiments.Exp_flat.plan
 
 (* Warm-start states minted through the flat planes: [init_all] computes
    the namespace size once, where n typed [init] calls would recompute it
@@ -93,44 +79,20 @@ let run_flat ?states ?(domains = 1) ~churn graph =
   F.run ~quiet_rounds ~max_rounds:20_000 ~churn ~domains ?states
     (Rng.create ~seed) graph
 
-let check label ok = if not ok then Fmt.epr "IDENTITY MISMATCH: %s@." label
+(* Two runs must agree on every observable; a mismatch is reported with
+   its first divergent field. *)
+let agree what ~equal a b =
+  match Engine.divergence ~equal a b with
+  | None -> true
+  | Some d ->
+      Fmt.epr "IDENTITY MISMATCH: %s: %s@." what d;
+      false
 
-(* Typed run vs flat run: every observable both executors report. *)
-let typed_vs_flat what (t : E.run) (f : F.run) =
-  let checks =
-    [
-      ( "final states",
-        Array.for_all2 (fun a b -> P.equal_state a b) t.E.states f.F.states );
-      ("rounds", t.E.rounds = f.F.rounds);
-      ("converged", t.E.converged = f.F.converged);
-      ("last_change_round", t.E.last_change_round = f.F.last_change_round);
-      ("change_history", t.E.change_history = f.F.change_history);
-      ("alive", t.E.alive = f.F.alive);
-      ("bursts", t.E.bursts = f.F.bursts);
-      ("faults", t.E.faults = f.F.faults);
-      ("graph", Graph.equal t.E.graph f.F.graph);
-    ]
-  in
-  List.iter (fun (l, ok) -> check (what ^ ": " ^ l) ok) checks;
-  List.for_all snd checks
-
-(* Two flat runs must agree bit-for-bit — structural equality, caches
-   included, not just [equal_state]. *)
-let flat_vs_flat what (a : F.run) (b : F.run) =
-  let checks =
-    [
-      ("states", a.F.states = b.F.states);
-      ("rounds", a.F.rounds = b.F.rounds);
-      ("converged", a.F.converged = b.F.converged);
-      ("change_history", a.F.change_history = b.F.change_history);
-      ("alive", a.F.alive = b.F.alive);
-      ("bursts", a.F.bursts = b.F.bursts);
-      ("faults", a.F.faults = b.F.faults);
-      ("graph", Graph.equal a.F.graph b.F.graph);
-    ]
-  in
-  List.iter (fun (l, ok) -> check (what ^ ": " ^ l) ok) checks;
-  List.for_all snd checks
+(* Dense vs one domain, then one vs two domains. *)
+let identical what ~dense ~flat =
+  let f1 = flat 1 in
+  agree (what ^ " dense/flat") ~equal:P.equal_state dense f1
+  && agree (what ^ " 1-vs-2-domain") ~equal:( = ) f1 (flat 2)
 
 (* ------------------------------------------------------------- smoke *)
 
@@ -141,10 +103,9 @@ let smoke () =
   let churn = plan ~bursts:3 ~spacing:20 ~first:30 n in
   Fmt.pr "smoke: %d nodes, %d edges@." n (Graph.edge_count graph);
   let dense = run_dense ~churn graph in
-  let f1 = run_flat ~churn graph and f2 = run_flat ~domains:2 ~churn graph in
   let ok =
-    typed_vs_flat "smoke dense/flat" dense f1
-    && flat_vs_flat "smoke 1-vs-2-domain" f1 f2
+    identical "smoke" ~dense ~flat:(fun domains ->
+        run_flat ~domains ~churn graph)
   in
   (* A lossy pass: the deliver-diff replay path, bounded rounds (a lossy
      cache-expiry stack need not quiesce). *)
@@ -154,15 +115,11 @@ let smoke () =
   let dense =
     E.run ~channel ~quiet_rounds ~max_rounds:60 (Rng.create ~seed) graph
   in
-  let flat domains =
-    F.run ~channel ~quiet_rounds ~max_rounds:60 ~domains (Rng.create ~seed)
-      graph
-  in
-  let f1 = flat 1 and f2 = flat 2 in
   let ok =
     ok
-    && typed_vs_flat "smoke lossy dense/flat" dense f1
-    && flat_vs_flat "smoke lossy 1-vs-2-domain" f1 f2
+    && identical "smoke lossy" ~dense ~flat:(fun domains ->
+           F.run ~channel ~quiet_rounds ~max_rounds:60 ~domains
+             (Rng.create ~seed) graph)
   in
   Fmt.pr "  identity: %b  rounds: %d@." ok dense.E.rounds;
   ok
@@ -256,7 +213,9 @@ let identity ~count ~bursts =
   let states = warm_states graph in
   let dense = run_dense ~states ~churn graph in
   let flat = run_flat ~states ~churn graph in
-  let ok = typed_vs_flat (Printf.sprintf "%d dense/flat" count) dense flat in
+  let ok =
+    agree (Printf.sprintf "%d dense/flat" count) ~equal:P.equal_state dense flat
+  in
   Fmt.pr "%dk identity (dense/flat): %b@." (count / 1000) ok;
   ok
 

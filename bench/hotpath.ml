@@ -2,10 +2,11 @@
    patching vs. the reference full rebuild, plus the other substrate costs
    a dynamic-topology experiment pays per round (unit-disk construction,
    one distributed protocol round, result-table construction). Emits
-   BENCH_hotpath.json in the working directory and a summary on stdout.
+   BENCH_hotpath.json in the working directory (full scale only: a smoke
+   run's timings are not a record) and a summary on stdout.
 
      dune exec bench/hotpath.exe            # full scale (1000 nodes)
-     dune exec bench/hotpath.exe -- --smoke # CI smoke (tiny n, one rep)
+     dune exec bench/hotpath.exe -- --smoke # identity gate (tiny n, one rep)
 
    Every timed pair is cross-checked for result identity first (patched
    snapshots must be structurally equal to full rebuilds on every round);
@@ -160,9 +161,9 @@ let () =
       smoke seed n radius (Graph.edge_count base) churn_rounds reps patch_t
       rebuild_t speedup identical disk_t round_t table_rows table_t
   in
-  let oc = open_out "BENCH_hotpath.json" in
-  output_string oc json;
-  close_out oc;
+  if not smoke then
+    Out_channel.with_open_text "BENCH_hotpath.json" (fun oc ->
+        output_string oc json);
   Fmt.pr "hotpath bench (n=%d, m=%d, %d churn rounds, best of %d rep%s%s)@."
     n (Graph.edge_count base) churn_rounds reps
     (if reps = 1 then "" else "s")
@@ -173,5 +174,5 @@ let () =
   Fmt.pr "  unit_disk build: %.2f ms@." (disk_t *. 1e3);
   Fmt.pr "  one distributed round: %.2f ms@." (round_t *. 1e3);
   Fmt.pr "  table build (%d rows): %.2f ms@." table_rows (table_t *. 1e3);
-  Fmt.pr "wrote BENCH_hotpath.json@.";
+  if not smoke then Fmt.pr "wrote BENCH_hotpath.json@.";
   if not identical then exit 1

@@ -12,8 +12,9 @@
    --smoke is the CI gate: a 1.5k-node burst run executed three ways —
    the dense reference walk, flat x 1 domain, flat x 2 domains — all three
    required bit-identical on every workload observable (Workload.equal)
-   and on the protocol states, and the delivery ratio required to recover
-   to >= 0.95 of its pre-burst value after the burst. Exits non-zero on
+   and on every run observable (Engine.divergence; structural equality
+   across domain counts), and the delivery ratio required to recover to
+   >= 0.95 of its pre-burst value after the burst. Exits non-zero on
    divergence or failed recovery.
 
      dune exec bench/traffic.exe            # full 10k run, writes JSON
@@ -122,34 +123,28 @@ let run_one c executor =
   in
   let max_rounds = c.last_offer + c.ttl + 8 in
   let t0 = Unix.gettimeofday () in
-  let states, alive, rounds =
+  let r =
     match executor with
     | Dense ->
-        let r =
-          E.run ~quiet_rounds ~max_rounds ~churn ~workload:(W.typed_hook w) rng
-            graph
-        in
-        (r.E.states, r.E.alive, r.E.rounds)
+        E.run ~quiet_rounds ~max_rounds ~churn ~workload:(W.typed_hook w) rng
+          graph
     | Flat domains ->
-        let r =
-          F.run ~quiet_rounds ~max_rounds ~churn ~domains ~workload:(W.hook w)
-            rng graph
-        in
-        (r.F.states, r.F.alive, r.F.rounds)
+        F.run ~quiet_rounds ~max_rounds ~churn ~domains ~workload:(W.hook w)
+          rng graph
   in
   let dt = Unix.gettimeofday () -. t0 in
-  (w, states, alive, rounds, dt)
+  (w, r, dt)
 
-let check_identical label (wa, sa, la, ra, _) (wb, sb, lb, rb, _) =
-  let ok =
-    W.equal wa wb && ra = rb
-    && Array.length sa = Array.length sb
-    && Array.for_all2 P.equal_state sa sb
-    && la = lb
+(* The workload's own planes first, then every run observable. *)
+let check_identical label ~equal (wa, ra, _) (wb, rb, _) =
+  let divergence =
+    if not (W.equal wa wb) then Some "workload observables"
+    else Ss_engine.Engine.divergence ~equal ra rb
   in
-  if ok then Printf.printf "  identical: %s\n%!" label
-  else Printf.printf "  DIVERGENCE: %s\n%!" label;
-  ok
+  (match divergence with
+  | None -> Printf.printf "  identical: %s\n%!" label
+  | Some d -> Printf.printf "  DIVERGENCE: %s: %s\n%!" label d);
+  Option.is_none divergence
 
 let report c w =
   let t = W.totals w in
@@ -259,17 +254,16 @@ let run_smoke () =
   let c = smoke in
   Printf.printf "traffic --smoke: %d nodes, rate %.0f, burst %.0f%% @%d\n%!"
     c.count c.rate (100.0 *. c.fraction) c.burst_round;
-  let rd = run_one c Dense in
-  let (wd, _, _, _, dtd) = rd in
-  Printf.printf "%s: %.2fs\n%!" (executor_label Dense) dtd;
-  let rf1 = run_one c (Flat 1) in
-  let (_, _, _, _, dt1) = rf1 in
-  Printf.printf "%s: %.2fs\n%!" (executor_label (Flat 1)) dt1;
-  let rf2 = run_one c (Flat 2) in
-  let (_, _, _, _, dt2) = rf2 in
-  Printf.printf "%s: %.2fs\n%!" (executor_label (Flat 2)) dt2;
-  let ok_df = check_identical "dense == flat x1" rd rf1 in
-  let ok_dd = check_identical "flat x1 == flat x2" rf1 rf2 in
+  let timed executor =
+    let ((_, _, dt) as run) = run_one c executor in
+    Printf.printf "%s: %.2fs\n%!" (executor_label executor) dt;
+    run
+  in
+  let ((wd, _, _) as rd) = timed Dense in
+  let rf1 = timed (Flat 1) in
+  let rf2 = timed (Flat 2) in
+  let ok_df = check_identical "dense == flat x1" ~equal:P.equal_state rd rf1 in
+  let ok_dd = check_identical "flat x1 == flat x2" ~equal:( = ) rf1 rf2 in
   let _, pre, dip, rec_at = report c wd in
   let ok_rec = recovery_ok pre dip rec_at in
   if not ok_rec then
@@ -288,8 +282,8 @@ let run_full () =
      @%d, rejoin @%d (flat executor)\n%!"
     c.count c.rate c.last_offer (100.0 *. c.fraction) c.burst_round
     c.rejoin_round;
-  let (w, _, _, rounds, dt) = run_one c (Flat 1) in
-  Printf.printf "flat: %d rounds in %.2fs\n%!" rounds dt;
+  let (w, r, dt) = run_one c (Flat 1) in
+  Printf.printf "flat: %d rounds in %.2fs\n%!" r.F.rounds dt;
   let ratio, pre, dip, rec_at = report c w in
   write_json c w dt ratio pre dip rec_at;
   if recovery_ok pre dip rec_at then exit 0

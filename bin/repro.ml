@@ -171,13 +171,13 @@ let mobility_cmd =
   let count_arg =
     Arg.(
       value
-      & opt int E.Exp_mobility.default_params.E.Exp_mobility.count
+      & opt positive_int E.Exp_mobility.default_params.E.Exp_mobility.count
       & info [ "count" ] ~docv:"N" ~doc:"Number of nodes.")
   in
   let horizon_arg =
     Arg.(
       value
-      & opt float E.Exp_mobility.default_params.E.Exp_mobility.horizon
+      & opt positive_float E.Exp_mobility.default_params.E.Exp_mobility.horizon
       & info [ "horizon" ] ~docv:"SECONDS"
           ~doc:"Simulated duration per run (the paper uses 900 s).")
   in
@@ -397,10 +397,12 @@ let flat_cmd =
     in
     let rows = E.Exp_flat.run ~seed ~sizes ~check_upto () in
     output ~csv (E.Exp_flat.to_table rows);
-    if not (E.Exp_flat.verified rows) then begin
-      Fmt.epr "ERROR: flat executor diverged from the dense reference@.";
-      exit 1
-    end
+    Option.iter
+      (fun d ->
+        Fmt.epr "ERROR: flat executor diverged from the dense reference: %s@."
+          d;
+        exit 1)
+      (E.Exp_flat.divergence rows)
   in
   Cmd.v (Cmd.info "flat" ~doc)
     Term.(const run $ seed_arg $ smoke_arg $ csv_arg)
@@ -578,11 +580,11 @@ let traffic_cmd =
   in
   let rounds_arg =
     let doc = "Last round with message arrivals; runs extend by the TTL." in
-    Arg.(value & opt int 220 & info [ "rounds" ] ~docv:"ROUNDS" ~doc)
+    Arg.(value & opt positive_int 220 & info [ "rounds" ] ~docv:"ROUNDS" ~doc)
   in
   let window_arg =
     let doc = "Cohort width (rounds) for the dip-and-recovery series." in
-    Arg.(value & opt int 20 & info [ "window" ] ~docv:"ROUNDS" ~doc)
+    Arg.(value & opt positive_int 20 & info [ "window" ] ~docv:"ROUNDS" ~doc)
   in
   let run seed runs jobs rounds window csv =
     let rows = E.Exp_traffic.run ~seed ~runs ~domains:jobs ~rounds ~window () in

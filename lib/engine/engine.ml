@@ -22,6 +22,18 @@ type burst = {
   recovery_rounds : int option;
 }
 
+type 's result = {
+  states : 's array;
+  rounds : int; (* rounds actually executed *)
+  converged : bool;
+  last_change_round : int; (* 0 if nothing ever changed *)
+  change_history : int list; (* per-round changed-node counts, oldest first *)
+  alive : bool array;
+  graph : Graph.t;
+  bursts : burst list;
+  faults : fault_report list; (* rounds with corrupted nodes, oldest first *)
+}
+
 (* Fold per-round (round, applied-event-count) pairs into maximal runs of
    consecutive event rounds, then read each burst's recovery time off the
    change history: the last round with activity before the next burst (or
@@ -60,6 +72,59 @@ let finalize_bursts ~event_rounds ~history ~rounds ~converged =
   in
   annotate merged
 
+(* Index of the first entry at which two lists disagree; a list that ends
+   early disagrees at its end. *)
+let rec first_mismatch equal i xs ys =
+  match (xs, ys) with
+  | [], [] -> None
+  | x :: xs', y :: ys' when equal x y -> first_mismatch equal (i + 1) xs' ys'
+  | _ -> Some i
+
+(* The order is part of the contract: per-round observables first (they
+   place a divergence in time), then the run's totals, then the final
+   snapshot. Each check runs only when every earlier one agreed. *)
+let divergence ~equal a b =
+  let say fmt = Printf.ksprintf Option.some fmt in
+  let ints what x y = if x = y then None else say "%s: %d vs %d" what x y in
+  let entry what xs ys =
+    Option.map (Printf.sprintf "%s: #%d" what) (first_mismatch ( = ) 0 xs ys)
+  in
+  let nodes what na nb differs =
+    if na <> nb then say "%s: %d vs %d nodes" what na nb
+    else
+      Option.map (Printf.sprintf "%s: node %d" what)
+        (Seq.find differs (Seq.init na Fun.id))
+  in
+  let ha = a.change_history and hb = b.change_history in
+  let at h i = Option.fold ~none:"-" ~some:string_of_int (List.nth_opt h i) in
+  List.find_map
+    (fun check -> check ())
+    [
+      (fun () ->
+        Option.map
+          (fun i ->
+            Printf.sprintf "change_history: round %d: %s vs %s" (i + 1)
+              (at ha i) (at hb i))
+          (first_mismatch Int.equal 0 ha hb));
+      (fun () -> ints "rounds" a.rounds b.rounds);
+      (fun () ->
+        if a.converged = b.converged then None
+        else say "converged: %b vs %b" a.converged b.converged);
+      (fun () ->
+        ints "last_change_round" a.last_change_round b.last_change_round);
+      (fun () -> entry "faults" a.faults b.faults);
+      (fun () -> entry "bursts" a.bursts b.bursts);
+      (fun () ->
+        nodes "alive" (Array.length a.alive) (Array.length b.alive) (fun p ->
+            a.alive.(p) <> b.alive.(p)));
+      (fun () ->
+        nodes "graph" (Graph.node_count a.graph) (Graph.node_count b.graph)
+          (fun p -> Graph.neighbors a.graph p <> Graph.neighbors b.graph p));
+      (fun () ->
+        nodes "states" (Array.length a.states) (Array.length b.states)
+          (fun p -> not (equal a.states.(p) b.states.(p))));
+    ]
+
 (* Key lanes under the run's base key: round -> {channel, permutation,
    per-node handle} streams. Every random decision of a round except churn
    and fault injection is a pure function of its lane, so executing a
@@ -73,17 +138,19 @@ let lane_perm rk = Rng.subkey rk 1
 let lane_handle rk = Rng.subkey rk 2
 
 module Make (P : Protocol.S) = struct
-  type run = {
-    states : P.state array;
-    rounds : int; (* rounds actually executed *)
+  type nonrec 's result = 's result = {
+    states : 's array;
+    rounds : int;
     converged : bool;
-    last_change_round : int; (* 0 if nothing ever changed *)
-    change_history : int list; (* per-round changed-node counts, oldest first *)
+    last_change_round : int;
+    change_history : int list;
     alive : bool array;
     graph : Graph.t;
     bursts : burst list;
-    faults : fault_report list; (* rounds with corrupted nodes, oldest first *)
+    faults : fault_report list;
   }
+
+  type run = P.state result
 
   (* Frames received by node p this step: one per neighbor, each surviving
      the round's channel plan. [read] supplies the state a neighbor

@@ -5,7 +5,9 @@
     The executor detects fixpoints, counts stabilization rounds, lets a
     fault hook corrupt states mid-run, and — given a {!Churn} plan — applies
     topology events (crashes, joins, sleep/wake, link flapping) between
-    rounds so the protocol must recover in place. *)
+    rounds so the protocol must recover in place. {!Make.run} is the
+    specification; {!divergence} is the one definition of what it means
+    for another executor, or another domain count, to agree with it. *)
 
 type round_info = {
   round : int;
@@ -44,13 +46,39 @@ type burst = {
           [max_rounds] still churning after the final burst *)
 }
 
+type 's result = {
+  states : 's array;
+      (** final states; crashed/sleeping nodes hold their last (Join
+          re-initializes, Wake resumes) *)
+  rounds : int;  (** rounds executed, including the final quiet ones *)
+  converged : bool;  (** true when the quiet-round target was reached *)
+  last_change_round : int;
+      (** the paper's stabilization time in steps: the last round in which
+          any node's state changed or any event fired (0 when already
+          stable) *)
+  change_history : int list;  (** changed-node count per round, oldest first *)
+  alive : bool array;  (** final liveness mask; all-true for churn-free runs *)
+  graph : Ss_topology.Graph.t;
+      (** final effective topology (= the input graph when no churn event
+          ever fired) *)
+  bursts : burst list;
+      (** disturbance bursts (churn events and fault-hook rounds), oldest
+          first, with measured recovery times *)
+  faults : fault_report list;
+      (** every round on which at least one node was corrupted (by churn
+          [Corrupt] or the [?fault] hook), oldest first — the dwell-time
+          attribution feed for {!Monitor} *)
+}
+(** What one run observably did, as both executors return it; "two runs
+    agree" has one definition, {!divergence}. *)
+
 (** {2 Shared executor internals}
 
     Used by both this executor and {!Flat}; exposed so the two stay on one
-    definition of burst accounting and key-lane derivation (the lanes {e
-    are} the determinism contract: channel loss, permutation and per-node
-    handle streams must coincide between executors for the differential
-    batteries to hold). *)
+    definition of burst accounting, run agreement and key-lane derivation
+    (the lanes {e are} the determinism contract: channel loss,
+    permutation and per-node handle streams must coincide between
+    executors for the differential batteries to hold). *)
 
 val finalize_bursts :
   event_rounds:(int * int) list ->
@@ -60,6 +88,20 @@ val finalize_bursts :
   burst list
 (** Fold per-round (round, applied-event-count) pairs — oldest first —
     into maximal bursts and read recovery times off the change history. *)
+
+val divergence :
+  equal:('s -> 's -> bool) -> 's result -> 's result -> string option
+(** The one definition of run agreement: [None] when every observable of
+    the two runs agrees, else the first difference, checked in a fixed
+    order. The per-round [change_history] comes first
+    (["change_history: round 37: 12 vs 13"]; ["-"] past a run's end),
+    then [rounds], [converged], [last_change_round], [faults] and
+    [bursts] (["bursts: #2"], counting from 0), and last the final
+    snapshot: [alive] (["alive: node 9"]), [graph] (["graph: node 4"],
+    the first node whose adjacency row differs) and [states]
+    (["states: node 412"], compared with [equal]). Pass [P.equal_state]
+    to compare the dense walk with the flat executor and [( = )] for
+    bit-identity across domain counts. *)
 
 val lane_channel : Ss_prng.Rng.key -> Ss_prng.Rng.key
 (** Channel-plan lane of a round key. *)
@@ -71,31 +113,20 @@ val lane_handle : Ss_prng.Rng.key -> Ss_prng.Rng.key
 (** Per-node handle-generator lane of a round key (subkey by node). *)
 
 module Make (P : Protocol.S) : sig
-  type run = {
-    states : P.state array;
-        (** final states; crashed/sleeping nodes hold their last (Join
-            re-initializes, Wake resumes) *)
-    rounds : int;  (** rounds executed, including the final quiet ones *)
-    converged : bool;  (** true when the quiet-round target was reached *)
+  type nonrec 's result = 's result = {
+    states : 's array;
+    rounds : int;
+    converged : bool;
     last_change_round : int;
-        (** the paper's stabilization time in steps: the last round in which
-            any node's state changed or any event fired (0 when already
-            stable) *)
     change_history : int list;
-        (** changed-node count per round, oldest first *)
     alive : bool array;
-        (** final liveness mask; all-true for churn-free runs *)
     graph : Ss_topology.Graph.t;
-        (** final effective topology (= the input graph when no churn
-            event ever fired) *)
     bursts : burst list;
-        (** disturbance bursts (churn events and fault-hook rounds), oldest
-            first, with measured recovery times *)
     faults : fault_report list;
-        (** every round on which at least one node was corrupted (by churn
-            [Corrupt] or the [?fault] hook), oldest first — the dwell-time
-            attribution feed for {!Monitor} *)
   }
+  (** {!result}, re-exported so its fields resolve here. *)
+
+  type run = P.state result  (** = {!Flat.Make}[(P).run] *)
 
   val init_states :
     Ss_prng.Rng.t -> Ss_topology.Graph.t -> P.state array
@@ -129,7 +160,8 @@ module Make (P : Protocol.S) : sig
     Ss_topology.Graph.t ->
     run
   (** The reference walk: every live node steps every round. It is the
-      specification the flat executor ({!Flat}) is checked against.
+      specification the flat executor ({!Flat}) is checked against, through
+      {!divergence}.
 
       Execute rounds until [quiet_rounds] consecutive rounds change no state
       (and inject no fault or churn event), or until [max_rounds]. When the

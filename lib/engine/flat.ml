@@ -1,10 +1,10 @@
 (* The flat-memory executor: Engine.run's orchestration re-targeted at a
    Protocol.FLAT's struct-of-arrays planes, with the round loop in
-   Flat_core. Same observables as Engine's dense reference walk — states
-   (modulo equal_state), rounds, change history, bursts, faults — for
-   protocols honoring the flat contract, which the differential battery
-   in test/suite_flat.ml enforces; determinism across ?domains is
-   Flat_core's phase-split argument. *)
+   Flat_core. It returns Engine's run record, and Engine.divergence finds
+   no difference from the dense reference walk for protocols honoring the
+   flat contract, which the differential battery in test/suite_flat.ml
+   enforces; determinism across ?domains is Flat_core's phase-split
+   argument. *)
 
 module Graph = Ss_topology.Graph
 module Dynamic = Ss_topology.Dynamic
@@ -14,8 +14,8 @@ module Pool = Ss_stats.Pool
 module Rng = Ss_prng.Rng
 
 module Make (P : Protocol.FLAT) = struct
-  type run = {
-    states : P.state array;
+  type nonrec 's result = 's Engine.result = {
+    states : 's array;
     rounds : int;
     converged : bool;
     last_change_round : int;
@@ -25,6 +25,8 @@ module Make (P : Protocol.FLAT) = struct
     bursts : Engine.burst list;
     faults : Engine.fault_report list;
   }
+
+  type run = P.state result
 
   let run ?(scheduler = Scheduler.Synchronous) ?(channel = Channel.perfect)
       ?(max_rounds = 10_000) ?(quiet_rounds = 1) ?churn ?corrupt ?motion

@@ -3,19 +3,18 @@
     {!Flat_core} (CSR adjacency, domain-sharded dirty frontier, zero
     per-round allocation).
 
-    Equivalent to [Engine.Make(P).run] — same states modulo
-    [P.equal_state], rounds, change history, bursts and faults for the
-    options both offer — for protocols honoring the {!Protocol.FLAT}
-    contract (its step-input contract is what lets the dirty frontier
-    skip nodes); the differential battery in [test/suite_flat.ml]
-    enforces flat ≡ dense over random graphs, channels, schedulers,
-    churn and motion. This is the production path for anything that
-    needs speed; the dense walk is the specification. Differences from
-    the reference executor:
+    Equivalent to [Engine.Make(P).run] for the options both offer
+    ({!Engine.divergence} [~equal:P.equal_state] finds no difference)
+    for protocols honoring the {!Protocol.FLAT} contract (its step-input
+    contract is what lets the dirty frontier skip nodes); the
+    differential battery in [test/suite_flat.ml] enforces flat ≡ dense
+    over random graphs, channels, schedulers, churn and motion. This is
+    the production path for anything that needs speed; the dense walk is
+    the specification. Differences from the reference executor:
 
     - [?domains] runs synchronous rounds sharded over a domain pool;
-      every domain count yields bit-identical results (see
-      {!Flat_core}).
+      every domain count yields bit-identical results
+      ({!Engine.divergence} [~equal:( = )]; see {!Flat_core}).
     - No [?fault] hook and no [?probe]: both hand typed state arrays to
       arbitrary callbacks every round, which would force a full
       unpack per round and defeat the flat representation. Use the churn
@@ -24,8 +23,8 @@
       instrumentation. *)
 
 module Make (P : Protocol.FLAT) : sig
-  type run = {
-    states : P.state array;  (** unpacked final states *)
+  type nonrec 's result = 's Engine.result = {
+    states : 's array;
     rounds : int;
     converged : bool;
     last_change_round : int;
@@ -35,6 +34,9 @@ module Make (P : Protocol.FLAT) : sig
     bursts : Engine.burst list;
     faults : Engine.fault_report list;
   }
+  (** {!Engine.result}, re-exported so its fields resolve here. *)
+
+  type run = P.state result  (** = {!Engine.Make}[(P).run] *)
 
   val run :
     ?scheduler:Scheduler.t ->

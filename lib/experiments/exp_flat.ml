@@ -3,8 +3,9 @@
    a crash/rejoin burst schedule past cold-start convergence, and the
    struct-of-arrays round loop carrying the whole run. At sizes the typed
    executor still handles comfortably, the same case runs through the
-   dense reference walk too and every observable is cross-checked, so the
-   scaling rows rest on a verified engine, not a trusted one. *)
+   dense reference walk too and Engine.divergence cross-checks the two
+   runs, so the scaling rows rest on a verified engine, not a trusted
+   one. *)
 
 module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
@@ -28,11 +29,12 @@ type row = {
   rounds : int;
   converged : bool;
   stabilized : int;  (** last round with a state change or event *)
-  seconds : float;  (** flat executor wall-clock (processor time) *)
-  checked : bool option;
-      (** [Some ok]: the dense reference walk ran the same case and
-          agreed ([ok]) on every observable; [None]: size was above the
-          cross-check cutoff *)
+  seconds : float;  (** flat executor CPU seconds ([Sys.time]) *)
+  checked : (unit, string) result option;
+      (** [Some (Ok ())]: the dense reference walk ran the same case and
+          agreed on every observable; [Some (Error d)]: it diverged, [d]
+          locating the first difference ({!Engine.divergence}); [None]:
+          size was above the cross-check cutoff *)
 }
 
 (* Average unit-disk degree ~7 at any scale. *)
@@ -83,16 +85,9 @@ let run ?(seed = 42) ?(sizes = default_sizes) ?(check_upto = 3_000) () =
               graph
           in
           Some
-            (Array.for_all2
-               (fun a b -> P.equal_state a b)
-               dense.En.states flat.F.states
-            && dense.En.rounds = flat.F.rounds
-            && dense.En.converged = flat.F.converged
-            && dense.En.last_change_round = flat.F.last_change_round
-            && dense.En.change_history = flat.F.change_history
-            && dense.En.alive = flat.F.alive
-            && dense.En.bursts = flat.F.bursts
-            && dense.En.faults = flat.F.faults)
+            (match Engine.divergence ~equal:P.equal_state dense flat with
+            | None -> Ok ()
+            | Some d -> Error d)
       in
       {
         nodes = n;
@@ -105,9 +100,12 @@ let run ?(seed = 42) ?(sizes = default_sizes) ?(check_upto = 3_000) () =
       })
     sizes
 
-let verified rows =
-  List.for_all
-    (fun r -> match r.checked with Some ok -> ok | None -> true)
+let divergence rows =
+  List.find_map
+    (fun r ->
+      match r.checked with
+      | Some (Error d) -> Some (Printf.sprintf "%d nodes: %s" r.nodes d)
+      | Some (Ok ()) | None -> None)
     rows
 
 let to_table ?(title = "Flat executor scaling (unit-disk, degree ~7)") rows =
@@ -131,8 +129,8 @@ let to_table ?(title = "Flat executor scaling (unit-disk, degree ~7)") rows =
            (if r.converged then "yes" else "no");
            Table.cell_float ~decimals:2 r.seconds;
            (match r.checked with
-           | Some true -> "yes"
-           | Some false -> "DIVERGED"
+           | Some (Ok ()) -> "yes"
+           | Some (Error _) -> "DIVERGED"
            | None -> "-");
          ])
        rows)
@@ -140,5 +138,7 @@ let to_table ?(title = "Flat executor scaling (unit-disk, degree ~7)") rows =
 let print ?seed ?sizes ?check_upto () =
   let rows = run ?seed ?sizes ?check_upto () in
   Table.print (to_table rows);
-  if not (verified rows) then
-    failwith "Exp_flat: flat executor diverged from the dense reference"
+  Option.iter
+    (Printf.ksprintf failwith
+       "Exp_flat: flat executor diverged from the dense reference: %s")
+    (divergence rows)

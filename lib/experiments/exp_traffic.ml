@@ -169,28 +169,22 @@ let run_one ~dense ~spec ~rounds ~ttl ~burst ~burst_round ~rejoin_round
   let w = W.create cfg ~n in
   let churn = plan_of ~burst ~burst_round ~rejoin_round ~fraction w in
   let max_rounds = rounds + ttl + 8 in
-  let converged, states, alive =
+  let r =
     if dense then
-      let r =
-        E.run ~channel ~quiet_rounds ~max_rounds ~churn
-          ~workload:(W.typed_hook w) rng graph
-      in
-      (r.E.converged, r.E.states, r.E.alive)
+      E.run ~channel ~quiet_rounds ~max_rounds ~churn
+        ~workload:(W.typed_hook w) rng graph
     else
-      let r =
-        F.run ~channel ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w)
-          rng graph
-      in
-      (r.F.converged, r.F.states, r.F.alive)
+      F.run ~channel ~quiet_rounds ~max_rounds ~churn ~workload:(W.hook w) rng
+        graph
   in
-  (w, converged, states, alive)
+  (w, r)
 
 let measure ?domains ~seed ~runs ~spec ~rounds ~ttl ~window
     ~burst_round ~rejoin_round ~fraction ~energy cell =
   let outcomes =
     Runner.replicate ?domains ~seed ~runs (fun ~run rng ->
         ignore run;
-        let w, converged, _states, _alive =
+        let w, r =
           run_one ~dense:false ~spec ~rounds ~ttl ~burst:cell.c_burst
             ~burst_round ~rejoin_round ~fraction ~energy ~rate:cell.c_load.rate
             ~channel:cell.c_chan.chan rng
@@ -199,7 +193,7 @@ let measure ?domains ~seed ~runs ~spec ~rounds ~ttl ~window
           run_totals = W.totals w;
           run_cohorts = W.cohorts ~window w;
           run_energy = W.energy_report w;
-          run_converged = converged;
+          run_converged = r.F.converged;
         })
   in
   let offered = ref 0
@@ -345,8 +339,8 @@ type verification = {
 
 (* Replay run 0 of the heavy-load / lossy / burst cell under the dense
    reference walk and the flat executor and compare every workload
-   observable bit for bit (Workload.equal) plus the protocol states. The
-   acceptance gate for `repro traffic`. *)
+   observable bit for bit (Workload.equal), then every run observable
+   (Engine.divergence). The acceptance gate for `repro traffic`. *)
 let verify ?(seed = 42) ?(spec = default_spec) ?(rounds = 220) ?(ttl = 48)
     ?(window = 20) ?(burst_round = default_burst_round)
     ?(rejoin_round = default_rejoin_round)
@@ -357,24 +351,22 @@ let verify ?(seed = 42) ?(spec = default_spec) ?(rounds = 220) ?(ttl = 48)
     run_one ~dense ~spec ~rounds ~ttl ~burst:true ~burst_round ~rejoin_round
       ~fraction ~energy ~rate ~channel (stream ())
   in
-  let wd, _, states_d, alive_d = go ~dense:true in
-  let wf, _, states_f, alive_f = go ~dense:false in
-  let w_eq = W.equal wd wf in
-  let st_eq =
-    Array.length states_d = Array.length states_f
-    && Array.for_all2 P.equal_state states_d states_f
-    && alive_d = alive_f
+  let wd, rd = go ~dense:true in
+  let wf, rf = go ~dense:false in
+  (* The workload's own planes first, then every run observable. *)
+  let divergence =
+    if not (W.equal wd wf) then
+      Some "workload observables diverge between dense and flat"
+    else Ss_engine.Engine.divergence ~equal:P.equal_state rd rf
   in
   let totals = W.totals wd in
   let pre, dip, rec_at =
     dip_recovery ~burst_round ~window (W.cohorts ~window wd)
   in
   {
-    v_agree = w_eq && st_eq;
+    v_agree = Option.is_none divergence;
     v_detail =
-      (if w_eq && st_eq then "dense == flat (workload planes and states)"
-       else if w_eq then "workload agrees but protocol states diverge"
-       else "workload observables diverge between dense and flat");
+      Option.value divergence ~default:"dense == flat (workload and run)";
     v_pre = pre;
     v_dip = dip;
     v_recovered_at = rec_at;

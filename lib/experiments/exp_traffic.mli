@@ -87,6 +87,8 @@ val to_table : ?title:string -> row list -> Ss_stats.Table.t
 type verification = {
   v_agree : bool;  (** dense and flat bit-identical on every observable *)
   v_detail : string;
+      (** when they are not, the first difference: the workload planes,
+          else {!Ss_engine.Engine.divergence}'s locator *)
   v_pre : float;  (** pre-burst cohort delivery ratio *)
   v_dip : float;  (** worst post-burst cohort ratio *)
   v_recovered_at : int option;
@@ -112,8 +114,9 @@ val verify :
   verification
 (** Replay one heavy-load lossy burst cell under the dense reference
     walk and the flat executor from the same run stream; compare the
-    workload planes ({!Ss_traffic.Workload.equal}), protocol states and
-    liveness bit for bit, and report the cell's dip-and-recovery. *)
+    workload planes ({!Ss_traffic.Workload.equal}) bit for bit, then the
+    two runs with {!Ss_engine.Engine.divergence}, and report the cell's
+    dip-and-recovery. *)
 
 val print :
   ?seed:int ->

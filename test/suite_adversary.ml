@@ -11,8 +11,6 @@ module Graph = Ss_topology.Graph
 module Builders = Ss_topology.Builders
 module Traversal = Ss_topology.Traversal
 module Channel = Ss_radio.Channel
-module Scheduler = Ss_engine.Scheduler
-module Churn = Ss_engine.Churn
 module Engine = Ss_engine.Engine
 module Adversary = Ss_engine.Adversary
 module Monitor = Ss_engine.Monitor
@@ -54,15 +52,10 @@ let test_empty_roster_transparent () =
         EP.run ~channel ~quiet_rounds:4 ~max_rounds:600
           (Rng.create ~seed:21) graph
       in
-      Alcotest.(check bool) "same states" true
-        (Array.for_all2
-           (fun a b -> P.equal_state (Q.project a) b)
-           wrapped.EQ.states raw.EP.states);
-      Alcotest.(check int) "same rounds" raw.EP.rounds wrapped.EQ.rounds;
-      Alcotest.(check bool) "same convergence" raw.EP.converged
-        wrapped.EQ.converged;
-      Alcotest.(check (list int)) "same change history" raw.EP.change_history
-        wrapped.EQ.change_history)
+      Alcotest.(check (option string)) "same run" None
+        (Engine.divergence ~equal:P.equal_state
+           { wrapped with EQ.states = Array.map Q.project wrapped.EQ.states }
+           raw))
     [ Channel.perfect; Channel.bernoulli 0.7 ]
 
 (* --------------------------------------------------- containment pins *)

@@ -69,4 +69,13 @@ let suite =
          [ "motion"; "--dt=-1" ]);
     Alcotest.test_case "--rounds 0 is a usage error" `Quick
       (check_usage_error ~mentions:"--rounds" [ "motion"; "--rounds"; "0" ]);
+    Alcotest.test_case "traffic --window 0 is a usage error" `Quick
+      (check_usage_error ~mentions:"--window" [ "traffic"; "--window"; "0" ]);
+    Alcotest.test_case "traffic --rounds -5 is a usage error" `Quick
+      (check_usage_error ~mentions:"--rounds" [ "traffic"; "--rounds=-5" ]);
+    Alcotest.test_case "mobility --count 0 is a usage error" `Quick
+      (check_usage_error ~mentions:"--count" [ "mobility"; "--count"; "0" ]);
+    Alcotest.test_case "mobility --horizon -1 is a usage error" `Quick
+      (check_usage_error ~expected:"positive number" ~mentions:"--horizon"
+         [ "mobility"; "--horizon=-1" ]);
   ]

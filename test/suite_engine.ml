@@ -4,6 +4,7 @@ module Channel = Ss_radio.Channel
 module Engine = Ss_engine.Engine
 module Scheduler = Ss_engine.Scheduler
 module Fault = Ss_engine.Fault
+module Churn = Ss_engine.Churn
 module Rng = Ss_prng.Rng
 
 (* A toy protocol: flood the maximum value seen. Converges in diameter
@@ -669,6 +670,56 @@ let test_channel_asym_bursty_validation () =
         (Channel.bursty ~seed:1 ~tau_good:1.0 ~tau_bad:0.0 ~p_fade:0.0
            ~p_recover:0.0))
 
+(* Engine.divergence on one real run (a crash and a rejoin, so two
+   bursts) against copies with exactly one observable perturbed: each copy
+   is located by the field, round or node that changed, and the
+   unperturbed copy agrees. *)
+let test_divergence_locates () =
+  let churn =
+    Churn.schedule [ (3, [ Churn.Crash 4 ]); (6, [ Churn.Join 4 ]) ]
+  in
+  let r = E.run ~churn ~quiet_rounds:2 (rng ()) (Builders.path 10) in
+  Alcotest.(check int) "two bursts" 2 (List.length r.E.bursts);
+  let set a i x = Array.mapi (fun j y -> if j = i then x else y) a in
+  let nth_map l i f = List.mapi (fun j y -> if j = i then f y else y) l in
+  let c2 = List.nth r.E.change_history 1 in
+  List.iter
+    (fun (label, expected, copy) ->
+      Alcotest.(check (option string))
+        label expected
+        (Engine.divergence ~equal:Int.equal r copy))
+    [
+      ("unperturbed copy", None, { r with E.states = Array.copy r.E.states });
+      ( "one node's state",
+        Some "states: node 7",
+        { r with E.states = set r.E.states 7 (r.E.states.(7) + 1) } );
+      ( "one round of the change history",
+        Some (Printf.sprintf "change_history: round 2: %d vs %d" c2 (c2 + 1)),
+        { r with E.change_history = nth_map r.E.change_history 1 succ } );
+      ( "one liveness entry",
+        Some "alive: node 5",
+        { r with E.alive = set r.E.alive 5 (not r.E.alive.(5)) } );
+      ( "round count",
+        Some (Printf.sprintf "rounds: %d vs %d" r.E.rounds (r.E.rounds + 1)),
+        { r with E.rounds = r.E.rounds + 1 } );
+      ( "one burst",
+        Some "bursts: #1",
+        {
+          r with
+          E.bursts =
+            nth_map r.E.bursts 1 (fun b ->
+                { b with Engine.burst_events = b.Engine.burst_events + 1 });
+        } );
+      ( "the final topology",
+        Some "graph: node 6",
+        {
+          r with
+          E.graph =
+            Graph.of_edges ~n:10
+              (List.filter (( <> ) (6, 7)) (Graph.edges r.E.graph));
+        } );
+    ]
+
 let suite =
   [
     Alcotest.test_case "floodmax converges" `Quick test_floodmax_converges;
@@ -737,5 +788,7 @@ let suite =
       test_channel_bursty_runs_are_bursty;
     Alcotest.test_case "asymmetric/bursty validation" `Quick
       test_channel_asym_bursty_validation;
+    Alcotest.test_case "divergence locates each observable" `Quick
+      test_divergence_locates;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_jammed_disjoint_is_bernoulli ]

@@ -1,16 +1,16 @@
 (* The flat executor's proof obligations, as differential batteries.
 
-   (a) Flat = dense: [Flat.Make(P).run] must agree with the typed dense
-       reference on every observable — final states modulo [equal_state],
-       round count, stabilization round, per-round change history,
-       liveness, burst/recovery attribution, fault reports and the final
-       topology — over random (graph x channel x scheduler x churn x TTL)
+   (a) Flat = dense: [Engine.divergence ~equal:P.equal_state] finds no
+       difference between [Flat.Make(P).run] and the typed dense
+       reference over random (graph x channel x scheduler x churn x TTL)
        cases on the full protocol stack. Any mismatch in the packed
        merge/election arithmetic, the frontier rules or the draw
-       discipline shows up here, and QCheck shrinks the plan.
+       discipline shows up here, QCheck shrinks the plan and the failure
+       names the first divergent (round, node, field).
    (b) Domain independence: on synchronous rounds, 4 domains must equal
-       1 domain bit-for-bit (structural equality on the unpacked states,
-       not just [equal_state]) — the phase-split determinism argument.
+       1 domain bit-for-bit ([Engine.divergence ~equal:( = )]: structural
+       equality on the unpacked states, not just [equal_state]) — the
+       phase-split determinism argument.
    (c) Flat = dense under motion, including a position-dependent channel
        where pure movement flips deliveries without any edge flip.
    (d) Repack: [Flat.pack] then [Flat.unpack] is the identity on every
@@ -72,15 +72,14 @@ let build_graph c =
 
 let jam_region = Bbox.make ~min_x:0.2 ~min_y:0.2 ~max_x:0.8 ~max_y:0.8
 
-let build_channel c =
-  match c.channel_kind with
+(* Channel and scheduler selectors, shared by both batteries. *)
+let channel_of = function
   | 0 -> Channel.perfect
   | 1 -> Channel.bernoulli 0.7
   | 2 -> Channel.jammed ~tau:0.9 ~region:jam_region ~jam_tau:0.3
   | _ -> Channel.slotted ~slots:4
 
-let build_scheduler c =
-  match c.sched_kind with
+let scheduler_of = function
   | 0 -> Scheduler.Synchronous
   | 1 -> Scheduler.Sequential
   | _ -> Scheduler.Random_order
@@ -119,8 +118,8 @@ let run_case c =
   let module E = Engine.Make (P) in
   let module F = Flat.Make (P) in
   let graph = build_graph c in
-  let channel = build_channel c in
-  let scheduler = build_scheduler c in
+  let channel = channel_of c.channel_kind in
+  let scheduler = scheduler_of c.sched_kind in
   let churn = build_plan c graph in
   (* Warm cases deliberately share ONE array across every execution below:
      the executors must neither mutate the caller's snapshot (the dense
@@ -151,41 +150,19 @@ let run_case c =
       ~corrupt:Distributed.corrupt ~domains ?states rng graph
   in
   let f1 = flat 1 in
-  let input_preserved =
-    match (states, pristine) with
-    | Some s, Some p -> s = p
-    | _ -> true
-  in
-  if not input_preserved then false
+  if states <> pristine then
+    Some "the caller's warm-start array was mutated"
   else
-  let against_dense =
-    Array.for_all2
-      (fun a b -> P.equal_state a b)
-      dense.E.states f1.F.states
-    && dense.E.rounds = f1.F.rounds
-    && dense.E.converged = f1.F.converged
-    && dense.E.last_change_round = f1.F.last_change_round
-    && dense.E.change_history = f1.F.change_history
-    && dense.E.alive = f1.F.alive
-    && dense.E.bursts = f1.F.bursts
-    && dense.E.faults = f1.F.faults
-    && Graph.equal dense.E.graph f1.F.graph
-  in
-  if not against_dense then false
-  else if scheduler <> Scheduler.Synchronous then true
-  else
-    (* Sharding only touches synchronous rounds; there the 4-domain run
-       must be bit-identical — structural equality, caches included. *)
-    let f4 = flat 4 in
-    f1.F.states = f4.F.states
-    && f1.F.rounds = f4.F.rounds
-    && f1.F.converged = f4.F.converged
-    && f1.F.last_change_round = f4.F.last_change_round
-    && f1.F.change_history = f4.F.change_history
-    && f1.F.alive = f4.F.alive
-    && f1.F.bursts = f4.F.bursts
-    && f1.F.faults = f4.F.faults
-    && Graph.equal f1.F.graph f4.F.graph
+    match Engine.divergence ~equal:P.equal_state dense f1 with
+    | Some d -> Some ("dense vs 1 domain: " ^ d)
+    | None when scheduler <> Scheduler.Synchronous -> None
+    | None ->
+        (* Sharding only touches synchronous rounds; there the 4-domain
+           run must be bit-identical — structural equality, caches
+           included. *)
+        Option.map
+          (fun d -> "1 vs 4 domains: " ^ d)
+          (Engine.divergence ~equal:( = ) f1 (flat 4))
 
 let print_case c =
   Printf.sprintf
@@ -223,10 +200,15 @@ let shrink_case c yield =
 
 let arb_case = QCheck.make ~print:print_case ~shrink:shrink_case gen_case
 
+(* A located divergence fails the property with its message. *)
+let agrees = function
+  | None -> true
+  | Some d -> QCheck.Test.fail_reportf "%s" d
+
 let prop_flat_equals_dense =
   QCheck.Test.make
     ~name:"flat = dense; 4 domains = 1 domain (all observables)" ~count:400
-    arb_case run_case
+    arb_case (fun c -> agrees (run_case c))
 
 (* ------------------------------------------------- (c): motion battery *)
 
@@ -249,13 +231,6 @@ let build_model = function
   | 2 -> Model.vehicular
   | 3 -> Model.random_waypoint ~pause:2.0 ~speed_min:0.0 ~speed_max:0.05 ()
   | _ -> Model.random_waypoint ~speed_min:0.01 ~speed_max:0.2 ()
-
-let build_sim_channel c =
-  match c.s_channel mod 4 with
-  | 0 -> Channel.perfect
-  | 1 -> Channel.bernoulli 0.7
-  | 2 -> Channel.jammed ~tau:0.9 ~region:jam_region ~jam_tau:0.3
-  | _ -> Channel.slotted ~slots:4
 
 (* Node events only: a random link event names an edge of the initial
    graph, but motion may have rebased that edge away by the time the plan
@@ -289,13 +264,8 @@ let run_sim_case c =
   let dt = dts.(c.s_dt mod Array.length dts) in
   let n = max 4 c.s_n in
   let radius = 0.3 in
-  let channel = build_sim_channel c in
-  let scheduler =
-    match c.s_sched mod 3 with
-    | 0 -> Scheduler.Synchronous
-    | 1 -> Scheduler.Sequential
-    | _ -> Scheduler.Random_order
-  in
+  let channel = channel_of (c.s_channel mod 4) in
+  let scheduler = scheduler_of (c.s_sched mod 3) in
   let churn = build_sim_plan c in
   (* Fresh same-seeded generators per execution: deployment, fleet
      sub-streams and every sequential engine draw line up by
@@ -326,15 +296,7 @@ let run_sim_case c =
     F.run ~scheduler ~channel ~max_rounds:30 ~quiet_rounds:3 ~churn
       ~corrupt:Distributed.corrupt ~motion:hook rng g0
   in
-  Array.for_all2 (fun a b -> P.equal_state a b) dense.E.states f1.F.states
-  && dense.E.rounds = f1.F.rounds
-  && dense.E.converged = f1.F.converged
-  && dense.E.last_change_round = f1.F.last_change_round
-  && dense.E.change_history = f1.F.change_history
-  && dense.E.alive = f1.F.alive
-  && dense.E.bursts = f1.F.bursts
-  && dense.E.faults = f1.F.faults
-  && Graph.equal dense.E.graph f1.F.graph
+  Engine.divergence ~equal:P.equal_state dense f1
 
 let print_sim c =
   Printf.sprintf
@@ -370,7 +332,7 @@ let arb_sim = QCheck.make ~print:print_sim ~shrink:shrink_sim gen_sim
 
 let prop_flat_equals_dense_motion =
   QCheck.Test.make ~name:"flat = dense under motion (all observables)"
-    ~count:200 arb_sim run_sim_case
+    ~count:200 arb_sim (fun c -> agrees (run_sim_case c))
 
 (* ------------------------------------------------------------- directed *)
 
@@ -392,7 +354,7 @@ let test_channel_domain_pins () =
           warm = false;
         }
       in
-      Alcotest.(check bool) label true (run_case c))
+      Alcotest.(check (option string)) label None (run_case c))
     [ ("slotted 4-domain identity", 3); ("jammed 4-domain identity", 2) ]
 
 (* A directed pin on the warm plane: on a lossy channel, cache entries
@@ -418,9 +380,9 @@ let test_ttl_expiry_equivalence () =
           warm = false;
         }
       in
-      Alcotest.(check bool)
+      Alcotest.(check (option string))
         (Printf.sprintf "ttl=%d flat = dense" ttl)
-        true (run_case c))
+        None (run_case c))
     [ 1; 2; 3; 4 ]
 
 (* (d) pack then unpack is the identity — on states evolved through a

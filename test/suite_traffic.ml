@@ -241,27 +241,26 @@ let run_exec c g exec =
       @ [ W.churn_feed w ])
   in
   let rng = Rng.create ~seed:(c.w_seed + 2) in
-  let states, alive, rounds =
+  let r =
     match exec with
     | Dense ->
-        let r =
-          E.run ~quiet_rounds ~max_rounds:70 ~churn ~workload:(W.typed_hook w)
-            rng g
-        in
-        (r.E.states, r.E.alive, r.E.rounds)
+        E.run ~quiet_rounds ~max_rounds:70 ~churn ~workload:(W.typed_hook w)
+          rng g
     | FlatD domains ->
-        let r =
-          F.run ~quiet_rounds ~max_rounds:70 ~churn ~domains
-            ~workload:(W.hook w) rng g
-        in
-        (r.F.states, r.F.alive, r.F.rounds)
+        F.run ~quiet_rounds ~max_rounds:70 ~churn ~domains ~workload:(W.hook w)
+          rng g
   in
-  (w, states, alive, rounds)
+  (w, r)
 
-let same (wa, sa, la, ra) (wb, sb, lb, rb) =
-  W.equal wa wb && ra = rb
-  && Array.for_all2 P.equal_state sa sb
-  && la = lb
+(* The workload's own planes first, then every run observable; a located
+   divergence fails the property with its message. *)
+let same what ~equal (wa, ra) (wb, rb) =
+  if not (W.equal wa wb) then
+    QCheck.Test.fail_reportf "%s: workload observables differ" what
+  else
+    match Engine.divergence ~equal ra rb with
+    | None -> true
+    | Some d -> QCheck.Test.fail_reportf "%s: %s" what d
 
 let prop_workload_executor_independent =
   QCheck.Test.make ~count:12 ~name:"workload: dense = flat x{1,4}"
@@ -271,7 +270,8 @@ let prop_workload_executor_independent =
       let dense = run_exec c g Dense in
       let flat1 = run_exec c g (FlatD 1) in
       let flat4 = run_exec c g (FlatD 4) in
-      same dense flat1 && same dense flat4)
+      same "dense vs flat x1" ~equal:P.equal_state dense flat1
+      && same "flat x1 vs x4" ~equal:( = ) flat1 flat4)
 
 (* -------------------------------- (c): idle workload hook allocation *)
 
